@@ -1,20 +1,20 @@
 """Streaming Doppler spread estimator.
 
-Per OFDM symbol the tracker maintains QR-based low-rank recursions for
-the 0-lag and beta-lag pilot autocorrelation matrices, selects the
-model order with MDL, estimates the noise floor and the correlation
-ratio eta, and inverts eta into a Doppler estimate through the series
-polynomial.
+Per OFDM symbol, :func:`step` runs one QR-based low-rank recursion, for
+the 0-lag pilot autocorrelation matrix, and advances two projected
+covariance accumulators in its basis: ``cov0`` (0-lag) and ``covb``
+(beta-lag, see ``_accumulate``). From the eigendecomposition of
+``cov0`` it selects the model order with MDL, estimates the noise floor
+and the correlation ratio eta, and inverts eta into a Doppler estimate
+through the series polynomial. The projected form subtracts the noise
+floor without the bias the raw R diagonal picks up at low SNR, which is
+what makes the low-SNR operating points usable.
 
-Two eta routes coexist:
-
-* :func:`eta_estimate` is the diagonal-ratio form operating directly on
-  the tracked R factors.
-* :func:`step` evaluates eta from the eigendecomposition of low-rank
-  projected covariance accumulators carried alongside the QR recursion
-  (see ``_accumulate``). The projected form subtracts the noise floor
-  without the bias the raw R diagonal picks up at low SNR, which is
-  what makes the low-SNR operating points usable.
+The beta-lag QR recursion (:func:`update_lagbeta`), :func:`eta_estimate`
+and :func:`noise_floor` are the paper's diagonal-ratio reference route,
+operating directly on the tracked R factors. :func:`step` does not call
+them. A caller who wants that route alongside the stream runs
+``update_lagbeta(state, snap)`` just before ``step(state, snap)``.
 """
 
 import math
@@ -132,7 +132,9 @@ def _qr_update(lag, z_times_q, alpha, dim, rank):
         return True
     q_new, r_new = np.linalg.qr(a_new)
     d = np.diagonal(r_new)
-    ph = np.where(np.abs(d) > 0.0, d / np.where(np.abs(d) > 0.0, np.abs(d), 1.0), 1.0)
+    mag = np.abs(d)
+    nonzero = mag > 0.0
+    ph = np.where(nonzero, d / np.where(nonzero, mag, 1.0), 1.0)
     q_new = q_new * ph[None, :]
     r_new = r_new * np.conj(ph)[:, None]
     lag.c = lag.q.conj().T @ q_new
@@ -158,7 +160,8 @@ def update_lagbeta(state, snap):
     """Track the beta-lag autocorrelation: Z_beta = h(n) h(n-beta)^H.
 
     A no-op with the warmup event set while fewer than beta prior
-    snapshots are buffered.
+    snapshots are buffered. Not part of :func:`step`; call it just before
+    ``step(state, snap)``, which buffers ``snap`` for the next lag.
     """
     cfg = state.cfg
     if len(state.buffer) < cfg.beta:
@@ -194,6 +197,25 @@ def _accumulate(state, snap):
         state.covb = alpha * (c0.conj().T @ state.covb @ c0) + (1.0 - alpha) * np.outer(y, y_lag.conj())
 
 
+def _mdl_order(eigs, n_eff):
+    """MDL order of eigenvalues already sorted descending (see mdl_order).
+
+    The tail means of the eigenvalues and of their logs come from reverse
+    cumulative sums, so every candidate k is scored at once. A NaN score
+    is never chosen; with no finite score the order is 0.
+    """
+    eigs = np.maximum(eigs, 1e-15)
+    lm = eigs.size
+    k = np.arange(lm)
+    tail = lm - k
+    geo = np.add.accumulate(np.log(eigs)[::-1])[::-1] / tail
+    arith = np.add.accumulate(eigs[::-1])[::-1] / tail
+    val = -n_eff * tail * (geo - np.log(arith)) \
+        + 0.5 * k * (2 * lm - k) * math.log(n_eff)
+    # fmin maps NaN to inf, so argmin skips it
+    return int(np.fmin(val, math.inf).argmin())
+
+
 def mdl_order(eigs, n_eff):
     """Minimum description length model order from descending eigenvalues.
 
@@ -207,18 +229,7 @@ def mdl_order(eigs, n_eff):
         raise TrackerError("n_eff must be >= the eigenvalue count")
     if np.any(np.diff(eigs) > 1e-12 * max(1.0, abs(eigs[0]))):
         raise TrackerError("eigenvalues must be sorted descending")
-    eigs = np.maximum(eigs, 1e-15)
-    logs = np.log(eigs)
-    best_k, best_val = 0, math.inf
-    for k in range(lm):
-        tail = lm - k
-        geo = logs[k:].mean()
-        arith = eigs[k:].mean()
-        val = -n_eff * tail * (geo - math.log(arith)) \
-            + 0.5 * k * (2 * lm - k) * math.log(n_eff)
-        if val < best_val:
-            best_k, best_val = k, val
-    return best_k
+    return _mdl_order(eigs, n_eff)
 
 
 def noise_floor(eigs, l_hat):
@@ -265,7 +276,6 @@ def step(state, snap, cfg=None):
     cfg = cfg or state.cfg
     state._warmup_event = False
     update_lag0(state, snap)
-    update_lagbeta(state, snap)
     _accumulate(state, snap)
     n = state.n
     state.buffer.append(snap.values)
@@ -282,7 +292,7 @@ def step(state, snap, cfg=None):
     eigs = eigs[::-1]
     vecs = vecs[:, ::-1]
     n_eff = min(n + 1, int(round(1.0 / (1.0 - cfg.alpha))))
-    l_hat = max(mdl_order(np.maximum(eigs, 0.0), max(n_eff, cfg.max_rank)), 1)
+    l_hat = max(_mdl_order(eigs, max(n_eff, cfg.max_rank)), 1)
     sigma_n2 = max((state.energy - float(eigs[:l_hat].sum())) / (state.dim - l_hat), 0.0)
 
     try:
