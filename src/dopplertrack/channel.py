@@ -184,6 +184,18 @@ def eval_path_gain(fad, path, t):
     return complex(g[0]) if scalar else g
 
 
+def drifted_delays(profile, geo, t0, drift_ns_per_s):
+    """Delays in samples at time t0 under a linear drift, checked against the CP."""
+    tau = profile.normalized_delays(geo)
+    if drift_ns_per_s:
+        tau = tau + drift_ns_per_s * 1e-9 * t0 / geo.t_sample
+        if tau[0] < 0 or tau[-1] > geo.cp_len:
+            raise ChannelError(
+                "delays drift to [%.1f, %.1f] samples at t=%.4g s, outside the CP [0, %d]"
+                % (tau[0], tau[-1], t0, geo.cp_len))
+    return tau
+
+
 def time_avg_cfr(fad, geo, profile, n, m_avg=64, drift_ns_per_s=0.0):
     """Time-averaged CFR on pilot tones for symbol index n.
 
@@ -203,8 +215,6 @@ def time_avg_cfr(fad, geo, profile, n, m_avg=64, drift_ns_per_s=0.0):
     t0 = n * geo.symbol_duration
     times = t0 + (geo.cp_len + m_positions) * geo.t_sample
     mean_gain = fad.gains(times).mean(axis=1)
-    tau = profile.normalized_delays(geo)
-    if drift_ns_per_s:
-        tau = tau + drift_ns_per_s * 1e-9 * t0 / geo.t_sample
+    tau = drifted_delays(profile, geo, t0, drift_ns_per_s)
     steering = np.exp(-2j * math.pi * np.outer(geo.pilot_indices, tau) / geo.n_tones)
     return steering @ mean_gain

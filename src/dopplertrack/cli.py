@@ -30,6 +30,10 @@ def run(config_path, preset_name, out_dir, seed, parallelism):
     if (config_path is None) == (preset_name is None):
         click.echo("error: exactly one of --config / --preset is required", err=True)
         sys.exit(1)
+    if parallelism < 1:
+        click.echo("config error: --parallelism must be >= 1, got %d" % parallelism,
+                   err=True)
+        sys.exit(1)
     try:
         if config_path is not None:
             scenarios = harness.load_config(config_path, seed_override=seed)

@@ -16,7 +16,8 @@ import numpy as np
 import yaml
 
 from . import frontend, tracker
-from .channel import ChannelProfile, OfdmGeometry, make_fading, time_avg_cfr
+from .channel import (ChannelError, ChannelProfile, OfdmGeometry, drifted_delays,
+                      make_fading, time_avg_cfr)
 
 # convergence metric: first symbol where the rolling median (window 50)
 # of normalized error stays below the threshold for 100 symbols
@@ -56,6 +57,12 @@ class Scenario:
             object.__setattr__(self, "tracker_cfg",
                                tracker.TrackerConfig(geo=self.geo))
         self.profile.normalized_delays(self.geo)  # validates CP fit
+        # the drift is linear in time, so the last symbol bounds every other
+        t_last = max(self.n_symbols - 1, 0) * self.geo.symbol_duration
+        try:
+            drifted_delays(self.profile, self.geo, t_last, self.delay_drift_ns_per_s)
+        except ChannelError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.f_d * self.geo.symbol_duration > 0.1:
             warnings.warn(
                 "f_d*T_s = %.3f exceeds 0.1; outside the model's validity region"
@@ -137,15 +144,14 @@ def run_trial(scenario, trial_index):
     fad = make_fading(scenario.profile, scenario.f_d, fading_seed,
                       scenario.n_oscillators)
     noise_rng = np.random.default_rng(noise_seed)
-    cfg = scenario.tracker_cfg
-    state = tracker.TrackerState(scenario.geo.n_pilots, cfg)
+    state = tracker.TrackerState(scenario.geo.n_pilots, scenario.tracker_cfg)
     estimates = []
     for n in range(scenario.n_symbols):
         cfr = time_avg_cfr(fad, scenario.geo, scenario.profile, n,
                            m_avg=scenario.m_avg,
                            drift_ns_per_s=scenario.delay_drift_ns_per_s)
         snap = frontend.ls_observe(cfr, scenario.snr_db, noise_rng, n=n)
-        estimates.append(tracker.step(state, snap, cfg))
+        estimates.append(tracker.step(state, snap))
     return TrialResult(scenario=scenario, trial=trial_index,
                        estimates=tuple(estimates))
 

@@ -1,9 +1,26 @@
-"""NumPy reference implementation of the fading synthesis kernel."""
+"""Fading synthesis kernel: sum-of-sinusoids path gains in NumPy."""
 
 import numpy as np
 
 
 def sos_gains(amps, omegas, phases_i, phases_q, times):
+    """Evaluate sum-of-sinusoids path gains on a time grid.
+
+    Parameters
+    ----------
+    amps : (L,) float array
+        Per-path amplitude sqrt(sigma_l^2 / M).
+    omegas : (L, M) float array
+        Oscillator angular Doppler frequencies.
+    phases_i, phases_q : (L, M) float arrays
+        In-phase / quadrature oscillator phases.
+    times : (nt,) float array
+        Evaluation instants in seconds.
+
+    Returns
+    -------
+    (L, nt) complex array of path gains.
+    """
     amps = np.asarray(amps, dtype=np.float64)
     omegas = np.asarray(omegas, dtype=np.float64)
     phases_i = np.asarray(phases_i, dtype=np.float64)

@@ -267,13 +267,13 @@ def _eta_subspace(state, l_hat, sigma_n2, eigs, vecs):
     return math.sqrt(num / den)
 
 
-def step(state, snap, cfg=None):
+def step(state, snap):
     """Process one snapshot and emit a per-symbol Doppler estimate.
 
     Inner numerics failures surface as flags, never as exceptions, so a
     stream keeps running through transient bad estimates.
     """
-    cfg = cfg or state.cfg
+    cfg = state.cfg
     state._warmup_event = False
     update_lag0(state, snap)
     _accumulate(state, snap)

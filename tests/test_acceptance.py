@@ -99,7 +99,7 @@ def test_criterion_4_tracker_batch_equivalence():
         h += (rng.normal(size=128) + 1j * rng.normal(size=128)) * math.sqrt(s2 / 2)
         snap = PilotSnapshot(n=n, values=h, snr_db=20.0)
         tracker.update_lagbeta(state, snap)
-        tracker.step(state, snap, cfg)
+        tracker.step(state, snap)
         cov = cfg.alpha * cov + (1 - cfg.alpha) * np.outer(h, h.conj())
         for lag in (state.lag0, state.lagbeta):
             q = lag.q
@@ -175,7 +175,7 @@ def test_criterion_7_zero_doppler_fixed_point():
     ests = []
     for n in range(2000):
         cfr = time_avg_cfr(fad, GEO, prof, n)
-        ests.append(tracker.step(state, ls_observe(cfr, math.inf, rng, n=n), cfg))
+        ests.append(tracker.step(state, ls_observe(cfr, math.inf, rng, n=n)))
     tail = ests[-200:]
     fd_ok = all(e.fd_hat < 20.0 for e in tail)
     etas = [e.eta_hat for e in tail if math.isfinite(e.eta_hat)]

@@ -178,6 +178,15 @@ class TestTimeAvgCfr:
         assert not np.allclose(still, moved)
         np.testing.assert_allclose(np.abs(still), np.abs(moved), rtol=1e-12)
 
+    def test_drift_outside_cp_rejected(self):
+        # 100 ns is 1.2 samples; at n=1000 (96 ms) -2e3 ns/s moves it to -1.1
+        # samples and +2e5 ns/s to 231.6, past the 128-sample CP
+        prof = ChannelProfile("one", (100.0,), (0.0,))
+        fad = make_fading(prof, 0.0, seed=9)
+        for drift in (-2e3, 2e5):
+            with pytest.raises(ChannelError):
+                time_avg_cfr(fad, GEO, prof, n=1000, drift_ns_per_s=drift)
+
     def test_stationarity_across_symbols(self):
         # lag-1 sample autocorrelation should not depend on where the
         # window sits: compare early/late halves of a long stream

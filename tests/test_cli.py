@@ -51,6 +51,15 @@ def test_run_small_config(tmp_path):
         assert len(f.readlines()) == 2
 
 
+def test_run_rejects_parallelism_below_one(tmp_path):
+    for value in ("0", "-2"):
+        res = invoke("run", "--preset", "eva", "--out", str(tmp_path),
+                     "--parallelism", value)
+        assert res.exit_code == 1
+        assert "config error" in res.output
+    assert not os.listdir(tmp_path)
+
+
 def test_run_unknown_preset(tmp_path):
     res = invoke("run", "--preset", "nope", "--out", str(tmp_path))
     assert res.exit_code == 1

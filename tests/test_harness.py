@@ -33,6 +33,15 @@ class TestScenario:
         with pytest.raises(ConfigError):
             small_scenario(f_d=-5.0)
 
+    def test_drifted_delays_must_fit_cp(self):
+        # ETU spans 60 samples; +-1e6 ns/s moves it 1200 samples in 100 ms
+        etu = ChannelProfile.preset("etu")
+        for drift in (1e6, -1e6):
+            with pytest.raises(ConfigError):
+                small_scenario(profile=etu, duration_ms=100.0,
+                               delay_drift_ns_per_s=drift)
+        small_scenario(profile=etu, duration_ms=20.0, delay_drift_ns_per_s=1e4)
+
     def test_validity_region_warning(self):
         with pytest.warns(UserWarning):
             small_scenario(f_d=1200.0)

@@ -1,5 +1,6 @@
+import math
+
 import numpy as np
-import pytest
 
 from dopplertrack import kernels
 
@@ -14,25 +15,28 @@ def make_inputs(seed=0, n_l=9, n_m=64, n_t=257):
     return amps, omegas, phases_i, phases_q, times
 
 
-def test_backend_reported():
-    assert kernels.BACKEND in ("cython", "numpy")
-
-
-def test_backends_agree():
-    args = make_inputs()
-    active = kernels.sos_gains(*args)
-    ref = kernels.reference_sos_gains(*args)
-    assert active.shape == ref.shape == (9, 257)
-    np.testing.assert_allclose(active, ref, rtol=1e-12, atol=1e-12)
+def test_matches_python_loop():
+    # independent oracle: the sum-of-sinusoids definition, term by term
+    a, w, pi_, pq, t = make_inputs(seed=11, n_l=2, n_m=16, n_t=7)
+    g = kernels.sos_gains(a, w, pi_, pq, t)
+    assert g.shape == (2, 7)
+    for l in range(2):
+        for k in range(7):
+            acc = 0j
+            for m in range(16):
+                acc += (math.cos(w[l, m] * t[k] + pi_[l, m])
+                        + 1j * math.cos(w[l, m] * t[k] + pq[l, m]))
+            assert abs(g[l, k] - a[l] * acc) <= 1e-12
 
 
 def test_reference_chunking_consistent():
-    # long series crosses the internal chunk boundary
-    args = make_inputs(seed=3, n_t=5000)
-    whole = kernels.reference_sos_gains(*args)
+    # at L=9, M=64 the kernel works in chunks of 6944 instants, so 8000
+    # instants cross one chunk boundary
+    args = make_inputs(seed=3, n_t=8000)
+    whole = kernels.sos_gains(*args)
     a, w, pi_, pq, t = args
-    parts = np.concatenate([kernels.reference_sos_gains(a, w, pi_, pq, t[:1234]),
-                            kernels.reference_sos_gains(a, w, pi_, pq, t[1234:])],
+    parts = np.concatenate([kernels.sos_gains(a, w, pi_, pq, t[:1234]),
+                            kernels.sos_gains(a, w, pi_, pq, t[1234:])],
                            axis=1)
     np.testing.assert_allclose(whole, parts, rtol=1e-13)
 

@@ -56,7 +56,7 @@ def drive_channel(fd, nsym, seed, snr_db=math.inf, profile="eva", cfg=None,
         # step does not run the lag-beta recursion; drive it alongside so
         # the diagonal-ratio reference route sees the whole stream
         update_lagbeta(state, snap)
-        ests.append(step(state, snap, cfg))
+        ests.append(step(state, snap))
     return state, ests
 
 
@@ -182,7 +182,7 @@ class TestMdl:
         for t in range(trials):
             state = TrackerState(32, cfg)
             for s in three_tap_stream(2000, 20.0, seed=10_000 + t, p=32):
-                step(state, s, cfg)
+                step(state, s)
             herm = 0.5 * (state.cov0 + state.cov0.conj().T)
             eigs = np.linalg.eigvalsh(herm)[::-1]
             if mdl_order(np.maximum(eigs, 0.0), 200) == 3:
@@ -309,7 +309,7 @@ class TestStep:
     def test_first_symbol_warmup(self):
         cfg = TrackerConfig(geo=GEO)
         state = TrackerState(GEO.n_pilots, cfg)
-        est = step(state, snap_of(np.ones(128)), cfg)
+        est = step(state, snap_of(np.ones(128)))
         assert est.flags.warmup
         assert est.fd_hat == 0.0
         assert est.n == 0
@@ -319,7 +319,7 @@ class TestStep:
         state = TrackerState(GEO.n_pilots, cfg)
         flags = []
         for s in three_tap_stream(30, 15.0, seed=2):
-            flags.append(step(state, s, cfg).flags.warmup)
+            flags.append(step(state, s).flags.warmup)
         assert all(flags[:20])
         assert not any(flags[20:])
 
@@ -327,7 +327,7 @@ class TestStep:
         cfg = TrackerConfig(beta=3, geo=GEO)
         state = TrackerState(GEO.n_pilots, cfg)
         for i, s in enumerate(three_tap_stream(10, 15.0, seed=6)):
-            step(state, s, cfg)
+            step(state, s)
             assert len(state.buffer) == min(i + 1, cfg.beta + 1)
 
     def test_eta_clamp_flag(self):
@@ -337,7 +337,7 @@ class TestStep:
         state = TrackerState(GEO.n_pilots, cfg)
         rng = np.random.default_rng(13)
         h0 = rng.normal(size=128) + 1j * rng.normal(size=128)
-        ests = [step(state, snap_of(h0 * 0.99 ** n, n), cfg) for n in range(100)]
+        ests = [step(state, snap_of(h0 * 0.99 ** n, n)) for n in range(100)]
         tail = ests[-20:]
         assert all(e.flags.eta_clamped for e in tail)
         assert all(e.fd_hat == 0.0 for e in tail)
@@ -352,7 +352,7 @@ class TestStep:
         runs = []
         for phase in (1.0, np.exp(1.234j)):
             state = TrackerState(GEO.n_pilots, cfg)
-            ests = [step(state, snap_of(phase * h, n), cfg)
+            ests = [step(state, snap_of(phase * h, n))
                     for n, h in enumerate(snaps)]
             runs.append([e.fd_hat for e in ests])
         np.testing.assert_allclose(runs[0], runs[1], rtol=1e-6, atol=1e-3)
