@@ -9,11 +9,9 @@ import math
 import os
 import warnings
 import zlib
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from . import frontend, tracker
 from .channel import (ChannelError, ChannelProfile, OfdmGeometry, drifted_delays,
@@ -49,6 +47,10 @@ class Scenario:
     def __post_init__(self):
         if self.duration_ms <= 0:
             raise ConfigError("duration_ms must be positive")
+        if self.n_symbols < 1:
+            raise ConfigError(
+                "duration_ms=%g is shorter than one OFDM symbol (%.4g ms)"
+                % (self.duration_ms, self.geo.symbol_duration * 1e3))
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.f_d < 0:
@@ -58,7 +60,7 @@ class Scenario:
                                tracker.TrackerConfig(geo=self.geo))
         self.profile.normalized_delays(self.geo)  # validates CP fit
         # the drift is linear in time, so the last symbol bounds every other
-        t_last = max(self.n_symbols - 1, 0) * self.geo.symbol_duration
+        t_last = (self.n_symbols - 1) * self.geo.symbol_duration
         try:
             drifted_delays(self.profile, self.geo, t_last, self.delay_drift_ns_per_s)
         except ChannelError as exc:
@@ -156,32 +158,38 @@ def run_trial(scenario, trial_index):
                        estimates=tuple(estimates))
 
 
-def _run_trial_packed(args):
-    return run_trial(*args)
+def _error_message(exc):
+    return "%s: %s" % (type(exc).__name__, exc)
 
 
 def run_grid(scenarios, parallelism=1):
     """Run every (scenario, trial) pair; failures are recorded, not fatal.
 
+    Trials run on min(parallelism, jobs, cpu count) worker processes; with
+    one worker no pool is started and trials run in this process.
+
     Returns (results, errors): results sorted by (scenario_id, trial),
-    errors as (scenario_id, trial, message) tuples.
+    errors as (scenario_id, trial, "<ExceptionType>: <message>") tuples.
     """
     jobs = [(s, t) for s in scenarios for t in range(s.trials)]
+    workers = min(parallelism, len(jobs), os.cpu_count() or 1)
     results, errors = [], []
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(s, t, pool.submit(run_trial, s, t)) for s, t in jobs]
             for s, t, fut in futures:
                 try:
                     results.append(fut.result())
                 except Exception as exc:
-                    errors.append((s.scenario_id, t, str(exc)))
+                    errors.append((s.scenario_id, t, _error_message(exc)))
     else:
         for s, t in jobs:
             try:
                 results.append(run_trial(s, t))
             except Exception as exc:  # grid keeps going
-                errors.append((s.scenario_id, t, str(exc)))
+                errors.append((s.scenario_id, t, _error_message(exc)))
     results.sort(key=lambda r: (r.scenario.scenario_id, r.trial))
     return results, errors
 
@@ -318,6 +326,8 @@ def scenarios_from_config(doc, seed_override=None):
 
 
 def load_config(path, seed_override=None):
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = yaml.safe_load(f)

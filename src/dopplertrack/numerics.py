@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 
 class NumericsError(Exception):
@@ -85,7 +84,8 @@ def xi_exact(f_d, n_tones, t_sample, beta=0, r_cp=0.125):
     over m, q in [0, N). The double sum collapses exactly to a single
     sum over the difference d = m - q with weight (N - |d|), which is
     what is computed here; J0 comes from scipy so this stays independent
-    of :func:`bessel_j0`.
+    of :func:`bessel_j0`. SciPy is imported on the first call, so code
+    that never asks for the oracle never loads it.
 
     Parameters
     ----------
@@ -104,6 +104,8 @@ def xi_exact(f_d, n_tones, t_sample, beta=0, r_cp=0.125):
     -------
     float
     """
+    from scipy import special
+
     if f_d < 0:
         raise DomainError("f_d must be non-negative")
     n = int(n_tones)

@@ -82,6 +82,15 @@ class TestFading:
         assert eval_path_gain(make_fading(prof, 300.0, 42), 3, 0.005) \
             == eval_path_gain(make_fading(prof, 300.0, 42), 3, 0.005)
 
+    def test_eval_path_gain_matches_gains(self):
+        fad = make_fading(ChannelProfile.preset("eva"), 400.0, seed=3)
+        t = np.linspace(0.0, 0.04, 101)
+        gains = fad.gains(t)
+        for path in (0, 8):
+            np.testing.assert_array_equal(eval_path_gain(fad, path, t), gains[path])
+            for k in (0, 50, 100):
+                assert eval_path_gain(fad, path, t[k]) == gains[path, k]
+
     def test_path_index_range(self):
         fad = make_fading(ChannelProfile.preset("eva"), 100.0, seed=1)
         with pytest.raises(ChannelError):

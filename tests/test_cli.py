@@ -26,6 +26,14 @@ def test_validate_bad_config(tmp_path):
     assert "config error" in res.output
 
 
+def test_validate_shorter_than_one_symbol(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("profile: eva\nduration_ms: 0.05\n")
+    res = invoke("validate", "--config", str(cfg))
+    assert res.exit_code == 1
+    assert "shorter than one OFDM symbol" in res.output
+
+
 def test_validate_missing_file():
     res = invoke("validate", "--config", "/no/such/file.yaml")
     assert res.exit_code == 1

@@ -11,6 +11,10 @@ from dopplertrack.harness import (ConfigError, Scenario, emit_csv,
                                   run_trial, scenarios_from_config)
 
 
+def _trial_without_channel(scenario, trial_index):
+    raise ValueError("no channel for trial %d" % trial_index)
+
+
 def small_scenario(**kw):
     args = dict(scenario_id="t", profile=ChannelProfile.preset("eva"),
                 f_d=400.0, snr_db=15.0, duration_ms=10.0, trials=2,
@@ -32,6 +36,12 @@ class TestScenario:
             small_scenario(trials=0)
         with pytest.raises(ConfigError):
             small_scenario(f_d=-5.0)
+
+    def test_shorter_than_one_symbol(self):
+        # 0.05 ms holds no 96 us symbol: n_symbols would be 0
+        with pytest.raises(ConfigError, match=r"0\.096 ms"):
+            small_scenario(duration_ms=0.05)
+        assert small_scenario(duration_ms=0.1).n_symbols == 1
 
     def test_drifted_delays_must_fit_cp(self):
         # ETU spans 60 samples; +-1e6 ns/s moves it 1200 samples in 100 ms
@@ -105,6 +115,50 @@ class TestRunGrid:
             blobs.append((out / "per_symbol.csv").read_bytes()
                          + (out / "summary.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_one_job_starts_no_pool(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started for one job")
+
+        s = small_scenario(trials=1)
+        serial, _ = run_grid([s], parallelism=1)
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", no_pool)
+        results, errors = run_grid([s], parallelism=4)
+        assert not errors
+        assert [e.fd_hat for e in results[0].estimates] \
+            == [e.fd_hat for e in serial[0].estimates]
+
+    @pytest.mark.parametrize("cpus, pools", [(8, [3]), (2, [2]), (None, [])])
+    def test_workers_fit_jobs_and_cpus(self, monkeypatch, cpus, pools):
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "run_trial", _trial_without_channel)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        _, errors = run_grid([small_scenario(trials=3)], parallelism=4)
+        assert started == pools
+        assert len(errors) == 3
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_errors_keep_exception_type(self, monkeypatch, parallelism):
+        # the failing trial is a module-level function, so pool workers
+        # can unpickle it; two cpus make the two jobs take the pool branch
+        monkeypatch.setattr(harness, "run_trial", _trial_without_channel)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        results, errors = run_grid([small_scenario(trials=2)],
+                                   parallelism=parallelism)
+        assert results == []
+        assert errors == [("t", 0, "ValueError: no channel for trial 0"),
+                          ("t", 1, "ValueError: no channel for trial 1")]
 
 
 class TestEmitCsv:

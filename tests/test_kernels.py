@@ -41,6 +41,20 @@ def test_reference_chunking_consistent():
     np.testing.assert_allclose(whole, parts, rtol=1e-13)
 
 
+def test_instant_independent_of_batch():
+    # 6945 instants at L=9, M=64 leave a one-instant tail after the
+    # 6944-instant chunk; every instant must come out bit-equal whether
+    # it is requested alone, in a pair or in the whole batch
+    a, w, pi_, pq, t = make_inputs(seed=9, n_t=6945)
+    whole = kernels.sos_gains(a, w, pi_, pq, t)
+    for k in (0, 1, 17, 3000, 6943, 6944):
+        alone = kernels.sos_gains(a, w, pi_, pq, t[k:k + 1])
+        pair = kernels.sos_gains(a, w, pi_, pq, t[k - 1:k + 1] if k else t[:2])
+        assert alone.shape == (9, 1)
+        np.testing.assert_array_equal(alone[:, 0], whole[:, k])
+        np.testing.assert_array_equal(pair[:, 1 if k else 0], whole[:, k])
+
+
 def test_determinism():
     args = make_inputs(seed=5)
     np.testing.assert_array_equal(kernels.sos_gains(*args), kernels.sos_gains(*args))
