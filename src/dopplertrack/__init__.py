@@ -13,8 +13,7 @@ from .numerics import (DopplerPolynomial, NewtonConfig, SeriesParams,
                        bessel_j0, doppler_from_root, newton_solve,
                        poly_coeffs, xi0_series, xi_beta_series, xi_exact)
 from .tracker import (DopplerEstimate, TrackerConfig, TrackerState,
-                      eta_estimate, mdl_order, noise_floor, step,
-                      update_lag0, update_lagbeta)
+                      mdl_order, step, update_lag0)
 from .harness import Scenario, TrialResult, emit_csv, run_grid, run_trial
 
 __version__ = "0.1.0"
@@ -27,8 +26,7 @@ __all__ = [
     "bessel_j0", "doppler_from_root", "newton_solve", "poly_coeffs",
     "xi0_series", "xi_beta_series", "xi_exact",
     "DopplerEstimate", "TrackerConfig", "TrackerState",
-    "eta_estimate", "mdl_order", "noise_floor", "step",
-    "update_lag0", "update_lagbeta",
+    "mdl_order", "step", "update_lag0",
     "Scenario", "TrialResult", "emit_csv", "run_grid", "run_trial",
     "__version__",
 ]

@@ -45,16 +45,20 @@ class Scenario:
     delay_drift_ns_per_s: float = 0.0
 
     def __post_init__(self):
-        if self.duration_ms <= 0:
-            raise ConfigError("duration_ms must be positive")
+        if not (math.isfinite(self.duration_ms) and self.duration_ms > 0):
+            raise ConfigError("duration_ms must be finite and positive")
         if self.n_symbols < 1:
             raise ConfigError(
                 "duration_ms=%g is shorter than one OFDM symbol (%.4g ms)"
                 % (self.duration_ms, self.geo.symbol_duration * 1e3))
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.f_d < 0:
-            raise ConfigError("f_d must be non-negative")
+        if not (math.isfinite(self.f_d) and self.f_d >= 0):
+            raise ConfigError("f_d must be finite and non-negative")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ConfigError("snr_db must be finite or +inf (noiseless)")
+        if not math.isfinite(self.delay_drift_ns_per_s):
+            raise ConfigError("delay_drift_ns_per_s must be finite")
         if self.tracker_cfg is None:
             object.__setattr__(self, "tracker_cfg",
                                tracker.TrackerConfig(geo=self.geo))

@@ -241,7 +241,6 @@ class NewtonResult:
     root: float
     iterations: int
     converged: bool
-    residual: float
 
 
 def newton_solve(poly, cfg=NewtonConfig()):
@@ -254,8 +253,8 @@ def newton_solve(poly, cfg=NewtonConfig()):
     Returns
     -------
     NewtonResult
-        root, iteration count, convergence flag (|dx| < tolerance
-        reached within max_iters) and final residual |p(root)|.
+        root, iteration count and convergence flag (|dx| < tolerance
+        reached within max_iters).
     """
     if cfg.init is not None:
         x = float(cfg.init)
@@ -280,8 +279,7 @@ def newton_solve(poly, cfg=NewtonConfig()):
         if abs(dx) < cfg.tolerance:
             converged = True
             break
-    residual = abs(poly.eval_with_derivative(x)[0])
-    return NewtonResult(root=x, iterations=iters, converged=converged, residual=residual)
+    return NewtonResult(root=x, iterations=iters, converged=converged)
 
 
 def doppler_from_root(x_star, n_tones, t_sample):

@@ -9,12 +9,6 @@ and the correlation ratio eta, and inverts eta into a Doppler estimate
 through the series polynomial. The projected form subtracts the noise
 floor without the bias the raw R diagonal picks up at low SNR, which is
 what makes the low-SNR operating points usable.
-
-The beta-lag QR recursion (:func:`update_lagbeta`), :func:`eta_estimate`
-and :func:`noise_floor` are the paper's diagonal-ratio reference route,
-operating directly on the tracked R factors. :func:`step` does not call
-them. A caller who wants that route alongside the stream runs
-``update_lagbeta(state, snap)`` just before ``step(state, snap)``.
 """
 
 import math
@@ -90,9 +84,6 @@ class _LagState:
     __slots__ = ("q", "a", "c", "r")
 
     def __init__(self, dim, rank):
-        self.reset(dim, rank)
-
-    def reset(self, dim, rank):
         self.q = np.zeros((dim, rank), dtype=np.complex128)
         self.q[:rank, :rank] = np.eye(rank)
         self.a = np.zeros((dim, rank), dtype=np.complex128)
@@ -106,29 +97,39 @@ class TrackerState:
     def __init__(self, dim, cfg):
         self.dim = int(dim)
         self.cfg = cfg
-        rank = cfg.max_rank
-        self.lag0 = _LagState(self.dim, rank)
-        self.lagbeta = _LagState(self.dim, rank)
-        self.buffer = deque(maxlen=cfg.beta + 1)
         self.n = 0
+        self.last_fd = 0.0
+        self.reset()
+
+    def reset(self):
+        """Forget every tracked statistic; ``n`` and ``last_fd`` carry on."""
+        rank = self.cfg.max_rank
+        self.lag0 = _LagState(self.dim, rank)
+        self.buffer = deque(maxlen=self.cfg.beta + 1)
         # projected covariance accumulators in the lag0 basis
         self.cov0 = np.zeros((rank, rank), dtype=np.complex128)
         self.covb = np.zeros((rank, rank), dtype=np.complex128)
         self.energy = 0.0
-        self.last_fd = 0.0
-        self._warmup_event = False
 
 
-def _qr_update(lag, z_times_q, alpha, dim, rank):
-    """One exponentially weighted QR recursion step.
+def update_lag0(state, snap):
+    """One exponentially weighted QR step for the 0-lag autocorrelation.
 
-    A <- alpha A C + (1 - alpha) (Z Q_prev); QR-factorize; rotate phases
+    With Z0 = h h^H (a rank-1 right product):
+    A <- alpha A C + (1 - alpha) Z0 Q_prev; QR-factorize; rotate phases
     so diag(R) is real non-negative; C <- Q_prev^H Q_new.
-    Returns True if the state had to be re-initialized (rank collapse).
+    Returns True if the new A was not finite; the whole stream state has
+    then been reset (:meth:`TrackerState.reset`).
     """
-    a_new = alpha * (lag.a @ lag.c) + (1.0 - alpha) * z_times_q
+    h = snap.values
+    if h.shape[0] != state.dim:
+        raise TrackerError("snapshot length %d != %d" % (h.shape[0], state.dim))
+    lag = state.lag0
+    alpha = state.cfg.alpha
+    zq = np.outer(h, h.conj() @ lag.q)
+    a_new = alpha * (lag.a @ lag.c) + (1.0 - alpha) * zq
     if not np.all(np.isfinite(a_new.view(np.float64))):
-        lag.reset(dim, rank)
+        state.reset()
         return True
     q_new, r_new = np.linalg.qr(a_new)
     d = np.diagonal(r_new)
@@ -144,37 +145,6 @@ def _qr_update(lag, z_times_q, alpha, dim, rank):
     return False
 
 
-def update_lag0(state, snap):
-    """Track the 0-lag autocorrelation: Z0 = h h^H, rank-1 right product."""
-    h = snap.values
-    if h.shape[0] != state.dim:
-        raise TrackerError("snapshot length %d != %d" % (h.shape[0], state.dim))
-    cfg = state.cfg
-    zq = np.outer(h, h.conj() @ state.lag0.q)
-    if _qr_update(state.lag0, zq, cfg.alpha, state.dim, cfg.max_rank):
-        state._warmup_event = True
-    return state
-
-
-def update_lagbeta(state, snap):
-    """Track the beta-lag autocorrelation: Z_beta = h(n) h(n-beta)^H.
-
-    A no-op with the warmup event set while fewer than beta prior
-    snapshots are buffered. Not part of :func:`step`; call it just before
-    ``step(state, snap)``, which buffers ``snap`` for the next lag.
-    """
-    cfg = state.cfg
-    if len(state.buffer) < cfg.beta:
-        state._warmup_event = True
-        return state
-    h = snap.values
-    h_lag = state.buffer[-cfg.beta]
-    zq = np.outer(h, h_lag.conj() @ state.lagbeta.q)
-    if _qr_update(state.lagbeta, zq, cfg.alpha, state.dim, cfg.max_rank):
-        state._warmup_event = True
-    return state
-
-
 def _accumulate(state, snap):
     """Advance the projected covariance accumulators in the lag0 basis.
 
@@ -184,6 +154,9 @@ def _accumulate(state, snap):
     keeps past contributions expressed in the current basis. A scalar
     exponentially weighted ||h||^2 tracks the total energy for the
     trace-based noise floor.
+
+    Returns True if that energy overflowed; the whole stream state has
+    then been reset (:meth:`TrackerState.reset`).
     """
     cfg = state.cfg
     alpha = cfg.alpha
@@ -195,6 +168,10 @@ def _accumulate(state, snap):
     if len(state.buffer) >= cfg.beta:
         y_lag = state.lag0.q.conj().T @ state.buffer[-cfg.beta]
         state.covb = alpha * (c0.conj().T @ state.covb @ c0) + (1.0 - alpha) * np.outer(y, y_lag.conj())
+    if not math.isfinite(state.energy):
+        state.reset()
+        return True
+    return False
 
 
 def _mdl_order(eigs, n_eff):
@@ -232,31 +209,6 @@ def mdl_order(eigs, n_eff):
     return _mdl_order(eigs, n_eff)
 
 
-def noise_floor(eigs, l_hat):
-    """Mean of the trailing tracked eigenvalues below the signal order."""
-    eigs = np.asarray(eigs, dtype=float)
-    if l_hat >= eigs.size:
-        raise TrackerError("no trailing eigenvalues left for the noise floor")
-    return float(eigs[l_hat:].mean())
-
-
-def eta_estimate(state, l_hat, sigma_n2):
-    """Diagonal-ratio eta over the top-L_hat tracked R entries.
-
-    sqrt(sum |R_beta[l,l]|^2 / sum |R_0[l,l] - sigma_n2|^2); values above
-    1 pass through (clamping belongs to the inversion step).
-    """
-    if l_hat < 1:
-        raise TrackerError("l_hat must be >= 1")
-    d0 = np.real(np.diagonal(state.lag0.r))[:l_hat]
-    db = np.diagonal(state.lagbeta.r)[:l_hat]
-    den = float(np.sum(np.abs(d0 - sigma_n2) ** 2))
-    if den <= 0.0:
-        raise EtaUndefinedError("no signal subspace energy in R_0")
-    num = float(np.sum(np.abs(db) ** 2))
-    return math.sqrt(num / den)
-
-
 def _eta_subspace(state, l_hat, sigma_n2, eigs, vecs):
     """Eta from the projected covariance accumulators (see module doc)."""
     proj_b = vecs.conj().T @ state.covb @ vecs
@@ -271,18 +223,20 @@ def step(state, snap):
     """Process one snapshot and emit a per-symbol Doppler estimate.
 
     Inner numerics failures surface as flags, never as exceptions, so a
-    stream keeps running through transient bad estimates.
+    stream keeps running through transient bad estimates. A snapshot
+    that overflows the tracked statistics resets the stream state
+    without being kept; its estimate is flagged warmup, as is every one
+    until a beta-lag product is accumulated again.
     """
     cfg = state.cfg
-    state._warmup_event = False
-    update_lag0(state, snap)
-    _accumulate(state, snap)
     n = state.n
-    state.buffer.append(snap.values)
     state.n = n + 1
+    restarted = update_lag0(state, snap) or _accumulate(state, snap)
+    if not restarted:
+        state.buffer.append(snap.values)
 
-    warmup = n < max(cfg.beta, cfg.warmup_symbols) or state._warmup_event
-    if warmup:
+    # the buffer holds at most beta snapshots until covb has a lagged product
+    if restarted or n < cfg.warmup_symbols or len(state.buffer) <= cfg.beta:
         return DopplerEstimate(n=n, fd_hat=state.last_fd, eta_hat=math.nan,
                                L_hat=0, sigma_n2_hat=math.nan, newton_iters=0,
                                flags=EstimateFlags(warmup=True))

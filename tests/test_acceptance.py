@@ -97,23 +97,16 @@ def test_criterion_4_tracker_batch_equivalence():
         g = (rng.normal(size=3) + 1j * rng.normal(size=3)) * np.sqrt(powers / 2)
         h = steering @ g
         h += (rng.normal(size=128) + 1j * rng.normal(size=128)) * math.sqrt(s2 / 2)
-        snap = PilotSnapshot(n=n, values=h, snr_db=20.0)
-        tracker.update_lagbeta(state, snap)
-        tracker.step(state, snap)
+        tracker.step(state, PilotSnapshot(n=n, values=h, snr_db=20.0))
         cov = cfg.alpha * cov + (1 - cfg.alpha) * np.outer(h, h.conj())
-        for lag in (state.lag0, state.lagbeta):
-            q = lag.q
-            worst_orth = max(worst_orth,
-                             float(np.linalg.norm(q.conj().T @ q - eye)))
+        q = state.lag0.q
+        worst_orth = max(worst_orth, float(np.linalg.norm(q.conj().T @ q - eye)))
     batch = np.linalg.eigvalsh(cov)[::-1][:3]
     tracked = np.abs(np.diagonal(state.lag0.r))[:3]
     worst_eig = float(np.max(np.abs(tracked - batch) / batch))
-    # the lag-beta orthonormality check means nothing on the initial state
-    lagbeta_ran = bool(np.any(state.lagbeta.r))
-    ok = worst_eig < 0.05 and worst_orth < 1e-10 and lagbeta_ran
-    report("criterion 4 (tracker-batch equivalence)", ok,
-           "eig dev %.3f, orth %.1e, lag-beta recursion ran: %s"
-           % (worst_eig, worst_orth, lagbeta_ran))
+    report("criterion 4 (tracker-batch equivalence)",
+           worst_eig < 0.05 and worst_orth < 1e-10,
+           "eig dev %.3f, orth %.1e" % (worst_eig, worst_orth))
 
 
 def test_criterion_5_end_to_end_robustness():

@@ -34,6 +34,14 @@ def test_validate_shorter_than_one_symbol(tmp_path):
     assert "shorter than one OFDM symbol" in res.output
 
 
+def test_validate_nonfinite_doppler(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("profile: eva\nfd_hz: .nan\n")
+    res = invoke("validate", "--config", str(cfg))
+    assert res.exit_code == 1
+    assert "f_d must be finite" in res.output
+
+
 def test_validate_missing_file():
     res = invoke("validate", "--config", "/no/such/file.yaml")
     assert res.exit_code == 1

@@ -36,6 +36,14 @@ class TestScenario:
             small_scenario(trials=0)
         with pytest.raises(ConfigError):
             small_scenario(f_d=-5.0)
+        for kw in (dict(f_d=math.nan), dict(f_d=math.inf),
+                   dict(snr_db=math.nan), dict(snr_db=-math.inf),
+                   dict(duration_ms=math.nan), dict(duration_ms=math.inf),
+                   dict(delay_drift_ns_per_s=math.nan),
+                   dict(delay_drift_ns_per_s=math.inf)):
+            with pytest.raises(ConfigError):
+                small_scenario(**kw)
+        small_scenario(snr_db=math.inf)  # noiseless
 
     def test_shorter_than_one_symbol(self):
         # 0.05 ms holds no 96 us symbol: n_symbols would be 0

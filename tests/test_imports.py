@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import dopplertrack
 from dopplertrack import numerics
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -29,3 +30,9 @@ def test_import_loads_no_lazy_module():
     # the oracle still works, and loads SciPy on its first call
     assert float.fromhex(probe["xi"]) == numerics.xi_exact(400.0, 1024, 1 / 12e6)
     assert probe["special_after"]
+
+
+def test_all_names_resolve():
+    missing = [name for name in dopplertrack.__all__
+               if not hasattr(dopplertrack, name)]
+    assert missing == []
