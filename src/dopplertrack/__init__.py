@@ -9,9 +9,8 @@ series polynomial in the correlation ratio.
 from .channel import (ChannelProfile, FadingRealization, OfdmGeometry,
                       eval_path_gain, make_fading, time_avg_cfr)
 from .frontend import PilotSnapshot, ls_observe
-from .numerics import (DopplerPolynomial, NewtonConfig, SeriesParams,
-                       bessel_j0, doppler_from_root, newton_solve,
-                       poly_coeffs, xi0_series, xi_beta_series, xi_exact)
+from .numerics import (DopplerPolynomial, doppler_from_root, newton_solve,
+                       poly_coeffs, xi_exact)
 from .tracker import (DopplerEstimate, TrackerConfig, TrackerState,
                       mdl_order, step, update_lag0)
 from .harness import Scenario, TrialResult, emit_csv, run_grid, run_trial
@@ -22,9 +21,8 @@ __all__ = [
     "ChannelProfile", "FadingRealization", "OfdmGeometry",
     "eval_path_gain", "make_fading", "time_avg_cfr",
     "PilotSnapshot", "ls_observe",
-    "DopplerPolynomial", "NewtonConfig", "SeriesParams",
-    "bessel_j0", "doppler_from_root", "newton_solve", "poly_coeffs",
-    "xi0_series", "xi_beta_series", "xi_exact",
+    "DopplerPolynomial", "doppler_from_root", "newton_solve", "poly_coeffs",
+    "xi_exact",
     "DopplerEstimate", "TrackerConfig", "TrackerState",
     "mdl_order", "step", "update_lag0",
     "Scenario", "TrialResult", "emit_csv", "run_grid", "run_trial",

@@ -20,7 +20,7 @@ class PilotSnapshot:
     snr_db: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.values.view(float))):
+        if not np.isfinite(self.values).all():
             raise ValueError("snapshot contains non-finite entries")
 
 

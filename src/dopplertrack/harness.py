@@ -62,6 +62,9 @@ class Scenario:
         if self.tracker_cfg is None:
             object.__setattr__(self, "tracker_cfg",
                                tracker.TrackerConfig(geo=self.geo))
+        elif self.tracker_cfg.geo != self.geo:
+            raise ConfigError("tracker_cfg.geo %r differs from the scenario geo %r"
+                              % (self.tracker_cfg.geo, self.geo))
         self.profile.normalized_delays(self.geo)  # validates CP fit
         # the drift is linear in time, so the last symbol bounds every other
         t_last = (self.n_symbols - 1) * self.geo.symbol_duration
@@ -94,10 +97,6 @@ class TrialResult:
         """Median of the trailing window of per-symbol estimates."""
         s = self.fd_series
         return float(np.median(s[-min(FINAL_WINDOW, len(s)):]))
-
-    @property
-    def median_fd_hat(self):
-        return float(np.median(self.fd_series))
 
     @property
     def norm_err(self):

@@ -21,6 +21,10 @@ from . import numerics
 from .channel import OfdmGeometry
 
 
+# estimates flagged warmup from the start of a stream and from each reset
+WARMUP_SYMBOLS = 20
+
+
 class TrackerError(Exception):
     pass
 
@@ -35,9 +39,7 @@ class TrackerConfig:
     beta: int = 1
     max_rank: int = 10
     series_order: int = 8
-    newton: numerics.NewtonConfig = field(default_factory=numerics.NewtonConfig)
     geo: OfdmGeometry = field(default_factory=OfdmGeometry)
-    warmup_symbols: int = 20
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -102,8 +104,13 @@ class TrackerState:
         self.reset()
 
     def reset(self):
-        """Forget every tracked statistic; ``n`` and ``last_fd`` carry on."""
+        """Forget every tracked statistic; ``n`` and ``last_fd`` carry on.
+
+        The estimates of symbols ``n`` to ``n + WARMUP_SYMBOLS - 1`` are
+        flagged warmup.
+        """
         rank = self.cfg.max_rank
+        self.warmup_end = self.n + WARMUP_SYMBOLS
         self.lag0 = _LagState(self.dim, rank)
         self.buffer = deque(maxlen=self.cfg.beta + 1)
         # projected covariance accumulators in the lag0 basis
@@ -225,18 +232,21 @@ def step(state, snap):
     Inner numerics failures surface as flags, never as exceptions, so a
     stream keeps running through transient bad estimates. A snapshot
     that overflows the tracked statistics resets the stream state
-    without being kept; its estimate is flagged warmup, as is every one
-    until a beta-lag product is accumulated again.
+    without being kept; its estimate and the next WARMUP_SYMBOLS - 1
+    are flagged warmup.
     """
     cfg = state.cfg
     n = state.n
-    state.n = n + 1
+    # a reset inside these calls starts its warmup window at symbol n
     restarted = update_lag0(state, snap) or _accumulate(state, snap)
+    state.n = n + 1
     if not restarted:
         state.buffer.append(snap.values)
 
-    # the buffer holds at most beta snapshots until covb has a lagged product
-    if restarted or n < cfg.warmup_symbols or len(state.buffer) <= cfg.beta:
+    # covb gets its first beta-lag product within beta + 1 symbols of the
+    # window start, and beta + 1 <= 5 < WARMUP_SYMBOLS, so the window
+    # also covers the buffer fill
+    if n < state.warmup_end:
         return DopplerEstimate(n=n, fd_hat=state.last_fd, eta_hat=math.nan,
                                L_hat=0, sigma_n2_hat=math.nan, newton_iters=0,
                                flags=EstimateFlags(warmup=True))
@@ -265,7 +275,7 @@ def step(state, snap):
     phi = cfg.beta * (1.0 + cfg.geo.r_cp)
     try:
         poly = numerics.poly_coeffs(eta, phi, cfg.series_order)
-        result = numerics.newton_solve(poly, cfg.newton)
+        result = numerics.newton_solve(poly)
         fd = numerics.doppler_from_root(result.root, cfg.geo.n_tones,
                                         cfg.geo.t_sample)
     except numerics.NumericsError:

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
-from dopplertrack import bessel_j0
 from dopplertrack.channel import (ChannelError, ChannelProfile,
                                   FadingRealization, OfdmGeometry,
                                   eval_path_gain, make_fading, time_avg_cfr)
@@ -131,7 +131,7 @@ class TestFading:
             for k in range(4):
                 acc[k] += np.mean(g[k:] * np.conj(g[:nsym - k])) if k else np.mean(np.abs(g) ** 2)
         for k in range(4):
-            want = bessel_j0(2 * math.pi * fd * k * ts)
+            want = special.j0(2 * math.pi * fd * k * ts)
             assert abs(acc[k].real / norm - want) < 0.02
 
 

@@ -68,3 +68,13 @@ def test_invalid_snr(rng):
 def test_snapshot_rejects_nonfinite():
     with pytest.raises(ValueError):
         PilotSnapshot(n=0, values=np.array([1.0 + 0j, math.inf + 0j]), snr_db=10.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            PilotSnapshot(n=0, values=np.array([1.0, bad], dtype=np.complex64),
+                          snr_db=10.0)
+
+
+def test_snapshot_accepts_strided_view():
+    x = np.arange(8, dtype=np.complex128)
+    snap = PilotSnapshot(n=0, values=x[::2], snr_db=10.0)
+    np.testing.assert_array_equal(snap.values, [0, 2, 4, 6])

@@ -9,6 +9,7 @@ from dopplertrack.channel import ChannelProfile, OfdmGeometry
 from dopplertrack.harness import (ConfigError, Scenario, emit_csv,
                                   load_config, preset_scenarios, run_grid,
                                   run_trial, scenarios_from_config)
+from dopplertrack.tracker import TrackerConfig
 
 
 def _trial_without_channel(scenario, trial_index):
@@ -44,6 +45,11 @@ class TestScenario:
             with pytest.raises(ConfigError):
                 small_scenario(**kw)
         small_scenario(snr_db=math.inf)  # noiseless
+        # the tracker must run on the scenario's own geometry
+        half = OfdmGeometry(n_tones=512, cp_len=64, n_pilots=64)
+        with pytest.raises(ConfigError, match="geo"):
+            small_scenario(geo=half, tracker_cfg=TrackerConfig())
+        small_scenario(geo=half, tracker_cfg=TrackerConfig(geo=half))
 
     def test_shorter_than_one_symbol(self):
         # 0.05 ms holds no 96 us symbol: n_symbols would be 0

@@ -1,53 +1,19 @@
 import math
 
-import numpy as np
 import pytest
 
 from dopplertrack import numerics
-from dopplertrack.numerics import (DomainError, InvalidRootError, NewtonConfig,
-                                   NonConvergenceError, SeriesParams,
-                                   SingularDerivativeError, bessel_j0,
-                                   doppler_from_root, newton_solve,
-                                   poly_coeffs, xi0_series, xi_beta_series,
-                                   xi_exact)
+from dopplertrack.numerics import (DomainError, InvalidRootError,
+                                   NonConvergenceError,
+                                   SingularDerivativeError, doppler_from_root,
+                                   newton_solve, poly_coeffs, xi_exact)
 
 T83 = 83.33e-9
 
 
-def maclaurin_j0(z, terms=40):
-    """Independent high-order series oracle, raw factorials."""
-    total = 0.0
-    for k in range(terms):
-        total += (-z * z / 4.0) ** k / math.factorial(k) ** 2
-    return total
-
-
-class TestBesselJ0:
-    def test_at_zero(self):
-        assert bessel_j0(0.0) == 1.0
-
-    def test_first_zero(self):
-        assert abs(bessel_j0(2.404826)) < 1e-5
-
-    def test_against_series_oracle(self):
-        assert bessel_j0(1.0) == pytest.approx(maclaurin_j0(1.0), abs=1e-12)
-
-    @pytest.mark.parametrize("z", [0.5, 3.0, 7.7, 11.9, 12.1, 20.0, 35.0, 50.0])
-    def test_accuracy_grid(self, z):
-        from scipy.special import j0
-        assert abs(bessel_j0(z) - j0(z)) < 1e-12
-        assert abs(bessel_j0(-z) - j0(-z)) < 1e-12
-
-    def test_dense_sweep(self):
-        from scipy.special import j0
-        zs = np.linspace(-50, 50, 2001)
-        worst = max(abs(bessel_j0(z) - j0(z)) for z in zs)
-        assert worst < 1e-12
-
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_nonfinite_rejected(self, bad):
-        with pytest.raises(DomainError):
-            bessel_j0(bad)
+def xi_series(psi, phi, K):
+    """K-term xi_beta series (xi_0 at phi = 0): the eta = 0 polynomial at -psi^2."""
+    return poly_coeffs(0.0, phi, K).eval_with_derivative(-psi * psi)[0]
 
 
 class TestXiExact:
@@ -83,50 +49,36 @@ class TestXiExact:
 
 
 class TestSeries:
-    def test_params_validation(self):
-        with pytest.raises(DomainError):
-            SeriesParams(psi=-0.1, phi=0.0, K=8)
-        with pytest.raises(DomainError):
-            SeriesParams(psi=0.1, phi=-1.0, K=8)
-        with pytest.raises(DomainError):
-            SeriesParams(psi=0.1, phi=0.0, K=1)
-
     def test_xi0_at_zero(self):
-        assert xi0_series(SeriesParams(psi=0.0, phi=0.0, K=8)) == 1.0
+        assert xi_series(0.0, 0.0, 8) == 1.0
 
     def test_xi0_matches_oracle(self):
         psi = math.pi * 400.0 * 1024 * T83
-        approx = xi0_series(SeriesParams(psi=psi, phi=0.0, K=8))
+        approx = xi_series(psi, 0.0, 8)
         exact = xi_exact(400.0, 1024, T83, beta=0)
         assert abs(approx - exact) / exact < 1e-6
 
     def test_xi0_truncation_tail(self):
-        a = xi0_series(SeriesParams(psi=0.5, phi=0.0, K=8))
-        b = xi0_series(SeriesParams(psi=0.5, phi=0.0, K=16))
+        a = xi_series(0.5, 0.0, 8)
+        b = xi_series(0.5, 0.0, 16)
         assert abs(a - b) < 1e-10
 
     def test_truncation_monotone(self):
         psi = 1.0
         gaps = []
         for k in (2, 4, 6, 8):
-            gaps.append(abs(xi0_series(SeriesParams(psi=psi, phi=0.0, K=k))
-                            - xi0_series(SeriesParams(psi=psi, phi=0.0, K=k + 4))))
+            gaps.append(abs(xi_series(psi, 0.0, k) - xi_series(psi, 0.0, k + 4)))
         # strictly shrinking while above rounding noise, never growing after
         assert gaps[1] < gaps[0]
         assert all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
 
-    def test_beta_reduces_to_xi0(self):
-        for psi in (0.0, 0.2, 0.7):
-            p0 = SeriesParams(psi=psi, phi=0.0, K=8)
-            assert xi_beta_series(p0) == pytest.approx(xi0_series(p0), abs=1e-14)
-
     def test_beta_at_zero_psi(self):
         for phi in (0.5, 1.125, 3.0):
-            assert xi_beta_series(SeriesParams(psi=0.0, phi=phi, K=8)) == pytest.approx(1.0)
+            assert xi_series(0.0, phi, 8) == pytest.approx(1.0)
 
     def test_beta_matches_oracle(self):
         psi = math.pi * 400.0 * 1024 * T83
-        approx = xi_beta_series(SeriesParams(psi=psi, phi=1.125, K=8))
+        approx = xi_series(psi, 1.125, 8)
         exact = xi_exact(400.0, 1024, T83, beta=1)
         assert abs(approx - exact) / exact < 1e-5
 
@@ -134,8 +86,7 @@ class TestSeries:
     @pytest.mark.parametrize("fd", [50.0, 200.0, 450.0, 800.0])
     def test_series_oracle_grid(self, beta, fd):
         psi = math.pi * fd * 1024 * T83
-        p = SeriesParams(psi=psi, phi=beta * 1.125, K=8)
-        approx = xi_beta_series(p) if beta else xi0_series(p)
+        approx = xi_series(psi, beta * 1.125, 8)
         exact = xi_exact(fd, 1024, T83, beta=beta)
         assert abs(approx - exact) / abs(exact) < 1e-4
 
@@ -170,13 +121,13 @@ class TestPolyCoeffs:
 
 class TestNewton:
     def test_zero_root_immediate(self):
-        poly = poly_coeffs(1.0, 1.125, 8)  # c0 = 0
-        res = newton_solve(poly, NewtonConfig(init=0.0))
+        poly = poly_coeffs(1.0, 1.125, 8)  # c0 = 0, so the start is the root
+        res = newton_solve(poly)
         assert res.root == 0.0
-        assert res.converged
+        assert res.converged and res.iterations == 1
 
     def test_linear_exact(self):
-        poly = numerics.DopplerPolynomial(coeffs=(0.004, 1.25), eta=0.996, phi=1.125)
+        poly = numerics.DopplerPolynomial(coeffs=(0.004, 1.25))
         res = newton_solve(poly)
         assert res.root == pytest.approx(-0.004 / 1.25, rel=1e-12)
         assert res.iterations == 1
@@ -190,21 +141,21 @@ class TestNewton:
         assert abs(fd - 300.0) / 300.0 < 0.01
 
     def test_singular_derivative(self):
-        poly = numerics.DopplerPolynomial(coeffs=(1.0, 0.0, 0.0), eta=0.0, phi=0.0)
+        # c1 = 0 leaves the -c0/c1 start undefined
+        poly = numerics.DopplerPolynomial(coeffs=(1.0, 0.0, 0.0))
         with pytest.raises(SingularDerivativeError):
-            newton_solve(poly, NewtonConfig(init=0.0))
+            newton_solve(poly)
+        # 1 + 2x + 2x^2 starts at x = -0.5, where p'(x) = 2 + 4x is 0
+        poly = numerics.DopplerPolynomial(coeffs=(1.0, 2.0, 2.0))
+        with pytest.raises(SingularDerivativeError, match="derivative"):
+            newton_solve(poly)
 
     def test_divergence_detected(self):
-        # root of 1 + x^2 does not exist on the reals; iterates wander
-        poly = numerics.DopplerPolynomial(coeffs=(1.0, 1e-8, 1.0), eta=0.0, phi=0.0)
-        with pytest.raises((NonConvergenceError, SingularDerivativeError)):
-            newton_solve(poly, NewtonConfig(init=0.1, max_iters=50))
-
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            NewtonConfig(tolerance=0.0)
-        with pytest.raises(DomainError):
-            NewtonConfig(max_iters=0)
+        # 1 + x + 0.26 x^2 has no real root; from the start x = -1 the
+        # iterates leave the bound 10|x0| + 10 within four steps
+        poly = numerics.DopplerPolynomial(coeffs=(1.0, 1.0, 0.26))
+        with pytest.raises(NonConvergenceError):
+            newton_solve(poly)
 
 
 class TestDopplerFromRoot:

@@ -365,7 +365,9 @@ class TestOverflowRecovery:
             return out
 
         clean, ests = run(1.0), run(scale)
-        assert [e.n for e in ests[20:] if e.flags.labels()] == [50, 51]
-        assert ests[50].flags.warmup and ests[51].flags.warmup
+        # the reset symbol opens a fresh 20-symbol warmup window
+        flagged = [e.n for e in ests[20:] if e.flags.labels()]
+        assert flagged == list(range(50, 70))
+        assert all(ests[n].flags.labels() == ["warmup"] for n in flagged)
         # the restarted stream forgets symbols 0-50 and converges again
         assert ests[-1].fd_hat == pytest.approx(clean[-1].fd_hat, rel=0.02)
