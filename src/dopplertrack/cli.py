@@ -93,3 +93,7 @@ def oracle_xi(fd, n_tones, t_ns, beta, rcp):
         sys.exit(1)
     click.echo(repr(value))
     sys.exit(0)
+
+
+if __name__ == "__main__":
+    main()

@@ -38,8 +38,7 @@ class Scenario:
     duration_ms: float
     trials: int = 20
     master_seed: int = 12345
-    geo: OfdmGeometry = field(default_factory=OfdmGeometry)
-    tracker_cfg: tracker.TrackerConfig = None
+    tracker_cfg: tracker.TrackerConfig = field(default_factory=tracker.TrackerConfig)
     m_avg: int = 64
     n_oscillators: int = 64
     delay_drift_ns_per_s: float = 0.0
@@ -59,12 +58,6 @@ class Scenario:
             raise ConfigError("snr_db must be finite or +inf (noiseless)")
         if not math.isfinite(self.delay_drift_ns_per_s):
             raise ConfigError("delay_drift_ns_per_s must be finite")
-        if self.tracker_cfg is None:
-            object.__setattr__(self, "tracker_cfg",
-                               tracker.TrackerConfig(geo=self.geo))
-        elif self.tracker_cfg.geo != self.geo:
-            raise ConfigError("tracker_cfg.geo %r differs from the scenario geo %r"
-                              % (self.tracker_cfg.geo, self.geo))
         self.profile.normalized_delays(self.geo)  # validates CP fit
         # the drift is linear in time, so the last symbol bounds every other
         t_last = (self.n_symbols - 1) * self.geo.symbol_duration
@@ -76,6 +69,11 @@ class Scenario:
             warnings.warn(
                 "f_d*T_s = %.3f exceeds 0.1; outside the model's validity region"
                 % (self.f_d * self.geo.symbol_duration), stacklevel=2)
+
+    @property
+    def geo(self):
+        """The OFDM geometry, the one the tracker runs on."""
+        return self.tracker_cfg.geo
 
     @property
     def n_symbols(self):
@@ -127,14 +125,6 @@ class TrialResult:
             if run >= CONV_HOLD:
                 return i - run + 1
         return None
-
-    @property
-    def flag_counts(self):
-        counts = {"warmup": 0, "eta_clamped": 0, "not_converged": 0}
-        for e in self.estimates:
-            for label in e.flags.labels():
-                counts[label] += 1
-        return counts
 
 
 def _trial_seed_words(scenario, trial_index):
@@ -197,14 +187,6 @@ def run_grid(scenarios, parallelism=1):
     return results, errors
 
 
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return repr(x) if isinstance(x, float) else str(x)
-
-
 def emit_csv(results, out_dir):
     """Write per_symbol.csv and summary.csv into out_dir.
 
@@ -222,9 +204,9 @@ def emit_csv(results, out_dir):
         for r in results:
             sid = r.scenario.scenario_id
             for e in r.estimates:
-                f.write("%s,%d,%d,%s,%s,%d,%s,%d,%s\n" % (
-                    sid, r.trial, e.n, _fmt(e.fd_hat), _fmt(e.eta_hat),
-                    e.L_hat, _fmt(e.sigma_n2_hat), e.newton_iters,
+                f.write("%s,%d,%d,%r,%r,%d,%r,%d,%s\n" % (
+                    sid, r.trial, e.n, e.fd_hat, e.eta_hat,
+                    e.L_hat, e.sigma_n2_hat, e.newton_iters,
                     "|".join(e.flags.labels())))
 
     groups = {}
@@ -241,14 +223,13 @@ def emit_csv(results, out_dir):
             errs = np.array([r.norm_err for r in rs])
             conv = [r.convergence_symbol for r in rs]
             conv_known = [c for c in conv if c is not None]
-            f.write("%s,%s,%s,%s,%s,%s,%s,%s,%s\n" % (
-                sid, _fmt(float(s.f_d)), _fmt(float(s.snr_db)),
-                _fmt(float(s.duration_ms)),
-                _fmt(float(np.median(finals))),
-                _fmt(float(np.mean(errs))),
-                _fmt(float(np.percentile(finals, 10))),
-                _fmt(float(np.percentile(finals, 90))),
-                _fmt(float(np.median(conv_known))) if conv_known else ""))
+            f.write("%s,%r,%r,%r,%r,%r,%r,%r,%s\n" % (
+                sid, float(s.f_d), float(s.snr_db), float(s.duration_ms),
+                float(np.median(finals)),
+                float(np.mean(errs)),
+                float(np.percentile(finals, 10)),
+                float(np.percentile(finals, 90)),
+                repr(float(np.median(conv_known))) if conv_known else ""))
     return per_path, summary_path
 
 
@@ -256,33 +237,44 @@ def _as_list(v):
     return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
+# config key -> (dataclass field, conversion); a key the config omits
+# takes the dataclass default
+_GEOMETRY_KEYS = {"tones": ("n_tones", int), "cp_length": ("cp_len", int),
+                 "sample_period_ns": ("t_sample", lambda ns: float(ns) * 1e-9),
+                 "pilots": ("n_pilots", int)}
+_TRACKER_KEYS = {"alpha": ("alpha", float), "lag": ("beta", int),
+                "max_rank": ("max_rank", int), "series_order": ("series_order", int)}
+_SCENARIO_KEYS = {"trials": ("trials", int), "master_seed": ("master_seed", int),
+                 "m_avg": ("m_avg", int),
+                 "delay_drift_ns_per_s": ("delay_drift_ns_per_s", float)}
+
+
+def _given(section, keys):
+    """Converted keyword arguments for the keys that a config section sets."""
+    if not isinstance(section, dict):
+        raise TypeError("section must be a mapping, got %r" % (section,))
+    return {name: conv(section[key]) for key, (name, conv) in keys.items()
+            if key in section}
+
+
 def scenarios_from_config(doc, seed_override=None):
     """Expand a config mapping into a scenario list.
 
     fd_hz, snr_db, duration_ms and profile may be lists; the cartesian
-    product over those axes defines the grid.
+    product over those axes defines the grid. Every key is optional; an
+    omitted geometry, tracker or scenario key takes the dataclass default.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
-    geo_cfg = doc.get("geometry", {})
+    if seed_override is not None:
+        doc = dict(doc, master_seed=seed_override)
     try:
-        geo = OfdmGeometry(
-            n_tones=int(geo_cfg.get("tones", 1024)),
-            cp_len=int(geo_cfg.get("cp_length", 128)),
-            t_sample=float(geo_cfg.get("sample_period_ns", 1e9 / 12e6)) * 1e-9,
-            n_pilots=int(geo_cfg.get("pilots", 128)),
-        )
+        geo = OfdmGeometry(**_given(doc.get("geometry", {}), _GEOMETRY_KEYS))
     except Exception as exc:
         raise ConfigError("bad geometry section: %s" % exc) from exc
-    trk_cfg = doc.get("tracker", {})
     try:
-        trk = tracker.TrackerConfig(
-            alpha=float(trk_cfg.get("alpha", 0.995)),
-            beta=int(trk_cfg.get("lag", 1)),
-            max_rank=int(trk_cfg.get("max_rank", 10)),
-            series_order=int(trk_cfg.get("series_order", 8)),
-            geo=geo,
-        )
+        trk = tracker.TrackerConfig(geo=geo, **_given(doc.get("tracker", {}),
+                                                      _TRACKER_KEYS))
     except Exception as exc:
         raise ConfigError("bad tracker section: %s" % exc) from exc
 
@@ -296,16 +288,12 @@ def scenarios_from_config(doc, seed_override=None):
         except Exception as exc:
             raise ConfigError("bad profile entry %r: %s" % (p, exc)) from exc
 
-    seed = int(seed_override if seed_override is not None
-               else doc.get("master_seed", 12345))
     scenarios = []
     try:
         fds = [float(x) for x in _as_list(doc.get("fd_hz", 400.0))]
         snrs = [float(x) for x in _as_list(doc.get("snr_db", 15.0))]
         durs = [float(x) for x in _as_list(doc.get("duration_ms", 40.0))]
-        trials = int(doc.get("trials", 20))
-        drift = float(doc.get("delay_drift_ns_per_s", 0.0))
-        m_avg = int(doc.get("m_avg", 64))
+        given = _given(doc, _SCENARIO_KEYS)
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad scalar field: %s" % exc) from exc
     for prof in profiles:
@@ -316,9 +304,7 @@ def scenarios_from_config(doc, seed_override=None):
                     try:
                         scenarios.append(Scenario(
                             scenario_id=sid, profile=prof, f_d=fd, snr_db=snr,
-                            duration_ms=dur, trials=trials, master_seed=seed,
-                            geo=geo, tracker_cfg=trk, m_avg=m_avg,
-                            delay_drift_ns_per_s=drift))
+                            duration_ms=dur, tracker_cfg=trk, **given))
                     except ConfigError:
                         raise
                     except Exception as exc:

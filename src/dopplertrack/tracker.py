@@ -29,10 +29,6 @@ class TrackerError(Exception):
     pass
 
 
-class EtaUndefinedError(TrackerError):
-    """No signal-subspace energy to form the eta denominator."""
-
-
 @dataclass(frozen=True)
 class TrackerConfig:
     alpha: float = 0.995
@@ -46,8 +42,9 @@ class TrackerConfig:
             raise TrackerError("alpha must lie in (0, 1)")
         if not (1 <= self.beta <= 4):
             raise TrackerError("beta must be in {1, 2, 3, 4}")
-        if self.max_rank < 1:
-            raise TrackerError("max_rank must be >= 1")
+        if not (1 <= self.max_rank <= self.geo.n_pilots):
+            raise TrackerError("max_rank must lie in [1, %d], the pilot count"
+                               % self.geo.n_pilots)
         if self.series_order < 2:
             raise TrackerError("series_order must be >= 2")
 
@@ -80,21 +77,13 @@ class DopplerEstimate:
     flags: EstimateFlags
 
 
-class _LagState:
-    """Q/A/C/R quadruple of one low-rank QR recursion."""
-
-    __slots__ = ("q", "a", "c", "r")
-
-    def __init__(self, dim, rank):
-        self.q = np.zeros((dim, rank), dtype=np.complex128)
-        self.q[:rank, :rank] = np.eye(rank)
-        self.a = np.zeros((dim, rank), dtype=np.complex128)
-        self.c = np.eye(rank, dtype=np.complex128)
-        self.r = np.zeros((rank, rank), dtype=np.complex128)
-
-
 class TrackerState:
-    """Mutable per-stream state; single writer, updates in symbol order."""
+    """Mutable per-stream state; single writer, updates in symbol order.
+
+    ``q``, ``a``, ``c`` and ``r`` are the lag-0 QR recursion (see
+    :func:`update_lag0`); ``cov0`` and ``covb`` are the projected
+    covariance accumulators in its basis (see ``_accumulate``).
+    """
 
     def __init__(self, dim, cfg):
         self.dim = int(dim)
@@ -106,14 +95,18 @@ class TrackerState:
     def reset(self):
         """Forget every tracked statistic; ``n`` and ``last_fd`` carry on.
 
-        The estimates of symbols ``n`` to ``n + WARMUP_SYMBOLS - 1`` are
-        flagged warmup.
+        ``start`` becomes ``n``: the first symbol whose snapshot the
+        statistics hold. The estimates of symbols ``start`` to
+        ``start + WARMUP_SYMBOLS - 1`` are flagged warmup.
         """
-        rank = self.cfg.max_rank
-        self.warmup_end = self.n + WARMUP_SYMBOLS
-        self.lag0 = _LagState(self.dim, rank)
+        dim, rank = self.dim, self.cfg.max_rank
+        self.start = self.n
+        self.q = np.zeros((dim, rank), dtype=np.complex128)
+        self.q[:rank, :rank] = np.eye(rank)
+        self.a = np.zeros((dim, rank), dtype=np.complex128)
+        self.c = np.eye(rank, dtype=np.complex128)
+        self.r = np.zeros((rank, rank), dtype=np.complex128)
         self.buffer = deque(maxlen=self.cfg.beta + 1)
-        # projected covariance accumulators in the lag0 basis
         self.cov0 = np.zeros((rank, rank), dtype=np.complex128)
         self.covb = np.zeros((rank, rank), dtype=np.complex128)
         self.energy = 0.0
@@ -131,10 +124,9 @@ def update_lag0(state, snap):
     h = snap.values
     if h.shape[0] != state.dim:
         raise TrackerError("snapshot length %d != %d" % (h.shape[0], state.dim))
-    lag = state.lag0
     alpha = state.cfg.alpha
-    zq = np.outer(h, h.conj() @ lag.q)
-    a_new = alpha * (lag.a @ lag.c) + (1.0 - alpha) * zq
+    zq = np.outer(h, h.conj() @ state.q)
+    a_new = alpha * (state.a @ state.c) + (1.0 - alpha) * zq
     if not np.all(np.isfinite(a_new.view(np.float64))):
         state.reset()
         return True
@@ -145,15 +137,15 @@ def update_lag0(state, snap):
     ph = np.where(nonzero, d / np.where(nonzero, mag, 1.0), 1.0)
     q_new = q_new * ph[None, :]
     r_new = r_new * np.conj(ph)[:, None]
-    lag.c = lag.q.conj().T @ q_new
-    lag.q = q_new
-    lag.a = a_new
-    lag.r = r_new
+    state.c = state.q.conj().T @ q_new
+    state.q = q_new
+    state.a = a_new
+    state.r = r_new
     return False
 
 
 def _accumulate(state, snap):
-    """Advance the projected covariance accumulators in the lag0 basis.
+    """Advance the projected covariance accumulators in the lag-0 basis.
 
     With y = Q0(n)^H h(n) and C0 = Q0(n-1)^H Q0(n):
     G0 <- alpha C0^H G0 C0 + (1-alpha) y y^H, and likewise for the
@@ -168,12 +160,12 @@ def _accumulate(state, snap):
     cfg = state.cfg
     alpha = cfg.alpha
     h = snap.values
-    c0 = state.lag0.c
-    y = state.lag0.q.conj().T @ h
+    c0 = state.c
+    y = state.q.conj().T @ h
     state.energy = alpha * state.energy + (1.0 - alpha) * float(np.real(h.conj() @ h))
     state.cov0 = alpha * (c0.conj().T @ state.cov0 @ c0) + (1.0 - alpha) * np.outer(y, y.conj())
     if len(state.buffer) >= cfg.beta:
-        y_lag = state.lag0.q.conj().T @ state.buffer[-cfg.beta]
+        y_lag = state.q.conj().T @ state.buffer[-cfg.beta]
         state.covb = alpha * (c0.conj().T @ state.covb @ c0) + (1.0 - alpha) * np.outer(y, y_lag.conj())
     if not math.isfinite(state.energy):
         state.reset()
@@ -222,7 +214,7 @@ def _eta_subspace(state, l_hat, sigma_n2, eigs, vecs):
     num = float(np.sum(np.abs(np.diagonal(proj_b))[:l_hat] ** 2))
     den = float(np.sum((eigs[:l_hat] - sigma_n2) ** 2))
     if den <= 0.0:
-        raise EtaUndefinedError("no signal subspace energy")
+        return math.nan  # no signal subspace energy: eta is undefined
     return math.sqrt(num / den)
 
 
@@ -232,21 +224,23 @@ def step(state, snap):
     Inner numerics failures surface as flags, never as exceptions, so a
     stream keeps running through transient bad estimates. A snapshot
     that overflows the tracked statistics resets the stream state
-    without being kept; its estimate and the next WARMUP_SYMBOLS - 1
-    are flagged warmup.
+    without being kept; its estimate and the next WARMUP_SYMBOLS are
+    flagged warmup, and from then on the stream emits what a new stream
+    fed the later snapshots would.
     """
     cfg = state.cfg
     n = state.n
-    # a reset inside these calls starts its warmup window at symbol n
-    restarted = update_lag0(state, snap) or _accumulate(state, snap)
+    # advanced first, so a reset inside these calls sets start = n + 1:
+    # the bad snapshot is not in the restarted statistics
     state.n = n + 1
+    restarted = update_lag0(state, snap) or _accumulate(state, snap)
     if not restarted:
         state.buffer.append(snap.values)
 
-    # covb gets its first beta-lag product within beta + 1 symbols of the
-    # window start, and beta + 1 <= 5 < WARMUP_SYMBOLS, so the window
-    # also covers the buffer fill
-    if n < state.warmup_end:
+    # covb gets its first beta-lag product within beta + 1 symbols of
+    # start, and beta + 1 <= 5 < WARMUP_SYMBOLS, so the window also
+    # covers the buffer fill
+    if n < state.start + WARMUP_SYMBOLS:
         return DopplerEstimate(n=n, fd_hat=state.last_fd, eta_hat=math.nan,
                                L_hat=0, sigma_n2_hat=math.nan, newton_iters=0,
                                flags=EstimateFlags(warmup=True))
@@ -255,16 +249,10 @@ def step(state, snap):
     eigs, vecs = np.linalg.eigh(herm)
     eigs = eigs[::-1]
     vecs = vecs[:, ::-1]
-    n_eff = min(n + 1, int(round(1.0 / (1.0 - cfg.alpha))))
+    n_eff = min(n + 1 - state.start, int(round(1.0 / (1.0 - cfg.alpha))))
     l_hat = max(_mdl_order(eigs, max(n_eff, cfg.max_rank)), 1)
     sigma_n2 = max((state.energy - float(eigs[:l_hat].sum())) / (state.dim - l_hat), 0.0)
-
-    try:
-        eta = _eta_subspace(state, l_hat, sigma_n2, eigs, vecs)
-    except EtaUndefinedError:
-        return DopplerEstimate(n=n, fd_hat=state.last_fd, eta_hat=math.nan,
-                               L_hat=l_hat, sigma_n2_hat=sigma_n2, newton_iters=0,
-                               flags=EstimateFlags(not_converged=True))
+    eta = _eta_subspace(state, l_hat, sigma_n2, eigs, vecs)
 
     if eta >= 1.0:
         state.last_fd = 0.0
@@ -279,6 +267,7 @@ def step(state, snap):
         fd = numerics.doppler_from_root(result.root, cfg.geo.n_tones,
                                         cfg.geo.t_sample)
     except numerics.NumericsError:
+        # also the exit of an undefined (NaN) eta, which poly_coeffs rejects
         return DopplerEstimate(n=n, fd_hat=state.last_fd, eta_hat=eta,
                                L_hat=l_hat, sigma_n2_hat=sigma_n2, newton_iters=0,
                                flags=EstimateFlags(not_converged=True))

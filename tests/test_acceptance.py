@@ -100,10 +100,10 @@ def test_criterion_4_tracker_batch_equivalence():
         h += (rng.normal(size=128) + 1j * rng.normal(size=128)) * math.sqrt(s2 / 2)
         tracker.step(state, PilotSnapshot(n=n, values=h, snr_db=20.0))
         cov = cfg.alpha * cov + (1 - cfg.alpha) * np.outer(h, h.conj())
-        q = state.lag0.q
+        q = state.q
         worst_orth = max(worst_orth, float(np.linalg.norm(q.conj().T @ q - eye)))
     batch = np.linalg.eigvalsh(cov)[::-1][:3]
-    tracked = np.abs(np.diagonal(state.lag0.r))[:3]
+    tracked = np.abs(np.diagonal(state.r))[:3]
     worst_eig = float(np.max(np.abs(tracked - batch) / batch))
     report("criterion 4 (tracker-batch equivalence)",
            worst_eig < 0.05 and worst_orth < 1e-10,

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 from click.testing import CliRunner
 
@@ -40,6 +42,27 @@ def test_validate_nonfinite_doppler(tmp_path):
     res = invoke("validate", "--config", str(cfg))
     assert res.exit_code == 1
     assert "f_d must be finite" in res.output
+
+
+def test_validate_rank_above_pilot_count(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("geometry: {tones: 64, cp_length: 8, pilots: 8}\n")
+    res = invoke("validate", "--config", str(cfg))
+    assert res.exit_code == 1
+    assert "max_rank" in res.output
+
+
+def test_module_entry_point(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("profile: nosuch\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    res = subprocess.run(
+        [sys.executable, "-m", "dopplertrack.cli", "validate", "--config", str(cfg)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert res.returncode == 1
+    assert "config error" in res.stderr
 
 
 def test_validate_missing_file():

@@ -45,11 +45,6 @@ class TestScenario:
             with pytest.raises(ConfigError):
                 small_scenario(**kw)
         small_scenario(snr_db=math.inf)  # noiseless
-        # the tracker must run on the scenario's own geometry
-        half = OfdmGeometry(n_tones=512, cp_len=64, n_pilots=64)
-        with pytest.raises(ConfigError, match="geo"):
-            small_scenario(geo=half, tracker_cfg=TrackerConfig())
-        small_scenario(geo=half, tracker_cfg=TrackerConfig(geo=half))
 
     def test_shorter_than_one_symbol(self):
         # 0.05 ms holds no 96 us symbol: n_symbols would be 0
@@ -261,6 +256,31 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/nope.yaml")
+
+    def test_geometry_reaches_tracker(self):
+        # the tracker runs on the scenario's one geometry
+        doc = {"geometry": {"tones": 512, "cp_length": 64, "pilots": 64,
+                            "sample_period_ns": 100.0},
+               "tracker": {"max_rank": 6}, "duration_ms": 10}
+        sc = scenarios_from_config(doc)[0]
+        assert sc.tracker_cfg.geo == OfdmGeometry(n_tones=512, cp_len=64,
+                                                  t_sample=100.0 * 1e-9, n_pilots=64)
+        assert sc.geo is sc.tracker_cfg.geo
+        assert sc.tracker_cfg.max_rank == 6
+
+    def test_omitted_keys_take_defaults(self):
+        sc = scenarios_from_config({})[0]
+        assert sc.tracker_cfg == TrackerConfig()
+        assert sc.geo == OfdmGeometry()
+        want = Scenario(scenario_id=sc.scenario_id, profile=sc.profile,
+                        f_d=sc.f_d, snr_db=sc.snr_db, duration_ms=sc.duration_ms)
+        assert sc == want
+
+    @pytest.mark.parametrize("section", ["geometry", "tracker"])
+    @pytest.mark.parametrize("value", [None, [1, 2]])
+    def test_section_must_be_mapping(self, section, value):
+        with pytest.raises(ConfigError, match="bad %s section" % section):
+            scenarios_from_config({section: value})
 
     def test_presets(self):
         for name in ("eva", "etu", "snr-sweep", "convergence"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -70,7 +71,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw", [dict(alpha=0.0), dict(alpha=1.0),
                                     dict(beta=0), dict(beta=5),
-                                    dict(max_rank=0), dict(series_order=1)])
+                                    dict(max_rank=0), dict(max_rank=129),
+                                    dict(series_order=1)])
     def test_validation(self, kw):
         with pytest.raises(TrackerError):
             TrackerConfig(**kw)
@@ -85,7 +87,7 @@ class TestUpdateLag0:
         snap = snap_of(h)
         for _ in range(60):
             update_lag0(state, snap)
-        d = np.abs(np.diagonal(state.lag0.r))
+        d = np.abs(np.diagonal(state.r))
         assert d[0] == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-6)
         assert np.all(d[1:] < 1e-8 * d[0])
 
@@ -94,10 +96,10 @@ class TestUpdateLag0:
         state = TrackerState(GEO.n_pilots, cfg)
         for s in three_tap_stream(30, 20.0, seed=4):
             update_lag0(state, s)
-        a_prev = state.lag0.a.copy()
-        c_prev = state.lag0.c.copy()
+        a_prev = state.a.copy()
+        c_prev = state.c.copy()
         update_lag0(state, snap_of(np.zeros(128)))
-        np.testing.assert_allclose(state.lag0.a, cfg.alpha * (a_prev @ c_prev),
+        np.testing.assert_allclose(state.a, cfg.alpha * (a_prev @ c_prev),
                                    atol=1e-14)
 
     def test_batch_eigenvalue_match(self):
@@ -108,7 +110,7 @@ class TestUpdateLag0:
             update_lag0(state, s)
             cov = cfg.alpha * cov + (1 - cfg.alpha) * np.outer(s.values, s.values.conj())
         batch = np.linalg.eigvalsh(cov)[::-1][:3]
-        tracked = np.abs(np.diagonal(state.lag0.r))[:3]
+        tracked = np.abs(np.diagonal(state.r))[:3]
         np.testing.assert_allclose(tracked, batch, rtol=0.05)
 
     def test_orthonormality(self):
@@ -117,7 +119,7 @@ class TestUpdateLag0:
         eye = np.eye(cfg.max_rank)
         for s in three_tap_stream(100, 10.0, seed=3):
             update_lag0(state, s)
-            q = state.lag0.q
+            q = state.q
             assert np.linalg.norm(q.conj().T @ q - eye) < 1e-10
 
     def test_wrong_length_rejected(self):
@@ -352,22 +354,37 @@ def eva400_snapshots():
 class TestOverflowRecovery:
     # on this stream 3e153 overflows only the tracked energy; from ~5e153
     # up the lag-0 recursion overflows first
-    @pytest.mark.parametrize("scale", [3e153, 1e155, 1e200, 1e300])
+    SCALES = [3e153, 1e155, 1e200, 1e300]
+
+    @staticmethod
+    def run(snaps, bad=1.0):
+        state = TrackerState(GEO.n_pilots, TrackerConfig(geo=GEO))
+        out = []
+        for s in snaps:
+            if s.n == 50:
+                s = PilotSnapshot(n=50, values=s.values * bad, snr_db=s.snr_db)
+            out.append(step(state, s))
+        return out
+
+    @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_one_overflowing_snapshot(self, eva400_snapshots, scale):
-        def run(bad):
-            state = TrackerState(GEO.n_pilots, TrackerConfig(geo=GEO))
-            out = []
-            for s in eva400_snapshots:
-                if s.n == 50:
-                    s = PilotSnapshot(n=50, values=s.values * bad, snr_db=s.snr_db)
-                out.append(step(state, s))
-            return out
-
-        clean, ests = run(1.0), run(scale)
-        # the reset symbol opens a fresh 20-symbol warmup window
+        clean, ests = self.run(eva400_snapshots), self.run(eva400_snapshots, scale)
+        # the reset symbol and a fresh 20-symbol warmup window are flagged
         flagged = [e.n for e in ests[20:] if e.flags.labels()]
-        assert flagged == list(range(50, 70))
+        assert flagged == list(range(50, 71))
         assert all(ests[n].flags.labels() == ["warmup"] for n in flagged)
         # the restarted stream forgets symbols 0-50 and converges again
         assert ests[-1].fd_hat == pytest.approx(clean[-1].fd_hat, rel=0.02)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_restart_equals_fresh_stream(self, eva400_snapshots, scale):
+        # after its warmup the restarted stream is a new stream fed
+        # snapshots 51 onward: same history length for MDL, same bits
+        ests = self.run(eva400_snapshots, scale)[71:]
+        fresh = self.run(eva400_snapshots[51:])[20:]
+        assert len(ests) == len(fresh)
+        for e, f in zip(ests, fresh):
+            np.testing.assert_equal(dataclasses.astuple(dataclasses.replace(e, n=0)),
+                                    dataclasses.astuple(dataclasses.replace(f, n=0)))
