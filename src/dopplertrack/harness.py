@@ -12,6 +12,7 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import frontend, tracker
 from .channel import (ChannelError, ChannelProfile, OfdmGeometry, drifted_delays,
@@ -116,15 +117,24 @@ class TrialResult:
         n = len(err)
         if n < CONV_WINDOW:
             return None
-        med = np.array([np.median(err[max(0, i - CONV_WINDOW + 1):i + 1])
-                        for i in range(n)])
-        below = med < CONV_THRESHOLD
+        below = _rolling_median(err) < CONV_THRESHOLD
         run = 0
         for i in range(n):
             run = run + 1 if below[i] else 0
             if run >= CONV_HOLD:
                 return i - run + 1
         return None
+
+
+def _rolling_median(err):
+    """Median of the CONV_WINDOW values ending at each index of err.
+
+    The first CONV_WINDOW - 1 windows are shorter: they start at index 0.
+    err holds at least CONV_WINDOW values.
+    """
+    head = [np.median(err[:i + 1]) for i in range(CONV_WINDOW - 1)]
+    full = np.median(sliding_window_view(err, CONV_WINDOW), axis=1)
+    return np.concatenate([head, full])
 
 
 def _trial_seed_words(scenario, trial_index):
@@ -134,21 +144,27 @@ def _trial_seed_words(scenario, trial_index):
 
 
 def run_trial(scenario, trial_index):
-    """Run one end-to-end trial, deterministic in (scenario, trial_index)."""
+    """Run one end-to-end trial, deterministic in (scenario, trial_index).
+
+    The trial's true CFRs are synthesized first (n_symbols x pilots
+    complex values), then observed and tracked symbol by symbol, so the
+    tracker's steps run back to back instead of between synthesis calls.
+    The noise draws keep their symbol order, so the result equals the
+    interleaved receiver loop's.
+    """
     fading_seed, noise_seed = _trial_seed_words(scenario, trial_index)
     fad = make_fading(scenario.profile, scenario.f_d, fading_seed,
                       scenario.n_oscillators)
+    cfrs = [time_avg_cfr(fad, scenario.geo, scenario.profile, n,
+                         m_avg=scenario.m_avg,
+                         drift_ns_per_s=scenario.delay_drift_ns_per_s)
+            for n in range(scenario.n_symbols)]
     noise_rng = np.random.default_rng(noise_seed)
     state = tracker.TrackerState(scenario.geo.n_pilots, scenario.tracker_cfg)
-    estimates = []
-    for n in range(scenario.n_symbols):
-        cfr = time_avg_cfr(fad, scenario.geo, scenario.profile, n,
-                           m_avg=scenario.m_avg,
-                           drift_ns_per_s=scenario.delay_drift_ns_per_s)
-        snap = frontend.ls_observe(cfr, scenario.snr_db, noise_rng, n=n)
-        estimates.append(tracker.step(state, snap))
-    return TrialResult(scenario=scenario, trial=trial_index,
-                       estimates=tuple(estimates))
+    estimates = tuple(
+        tracker.step(state, frontend.ls_observe(cfr, scenario.snr_db, noise_rng, n=n))
+        for n, cfr in enumerate(cfrs))
+    return TrialResult(scenario=scenario, trial=trial_index, estimates=estimates)
 
 
 def _error_message(exc):

@@ -11,6 +11,7 @@ floor without the bias the raw R diagonal picks up at low SNR, which is
 what makes the low-SNR operating points usable.
 """
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -66,6 +67,13 @@ class EstimateFlags:
         return out
 
 
+# the four flag values step emits, shared by every estimate
+_VALID = EstimateFlags()
+_WARMUP = EstimateFlags(warmup=True)
+_ETA_CLAMPED = EstimateFlags(eta_clamped=True)
+_NOT_CONVERGED = EstimateFlags(not_converged=True)
+
+
 @dataclass(frozen=True)
 class DopplerEstimate:
     n: int
@@ -86,7 +94,11 @@ class TrackerState:
     """
 
     def __init__(self, dim, cfg):
-        self.dim = int(dim)
+        dim = int(dim)
+        if dim != cfg.geo.n_pilots:
+            raise TrackerError("dim %d != the geometry's pilot count %d"
+                               % (dim, cfg.geo.n_pilots))
+        self.dim = dim
         self.cfg = cfg
         self.n = 0
         self.last_fd = 0.0
@@ -112,6 +124,18 @@ class TrackerState:
         self.energy = 0.0
 
 
+def _blend(alpha, old, col, row):
+    """alpha * old + (1 - alpha) * outer(col, row), computed in old's buffer.
+
+    old must be a temporary the caller owns.
+    """
+    outer = col[:, None] * row
+    outer *= 1.0 - alpha
+    old *= alpha
+    old += outer
+    return old
+
+
 def update_lag0(state, snap):
     """One exponentially weighted QR step for the 0-lag autocorrelation.
 
@@ -124,9 +148,7 @@ def update_lag0(state, snap):
     h = snap.values
     if h.shape[0] != state.dim:
         raise TrackerError("snapshot length %d != %d" % (h.shape[0], state.dim))
-    alpha = state.cfg.alpha
-    zq = np.outer(h, h.conj() @ state.q)
-    a_new = alpha * (state.a @ state.c) + (1.0 - alpha) * zq
+    a_new = _blend(state.cfg.alpha, state.a @ state.c, h, h.conj() @ state.q)
     if not np.all(np.isfinite(a_new.view(np.float64))):
         state.reset()
         return True
@@ -135,8 +157,8 @@ def update_lag0(state, snap):
     mag = np.abs(d)
     nonzero = mag > 0.0
     ph = np.where(nonzero, d / np.where(nonzero, mag, 1.0), 1.0)
-    q_new = q_new * ph[None, :]
-    r_new = r_new * np.conj(ph)[:, None]
+    q_new *= ph
+    r_new *= ph.conj()[:, None]
     state.c = state.q.conj().T @ q_new
     state.q = q_new
     state.a = a_new
@@ -161,16 +183,27 @@ def _accumulate(state, snap):
     alpha = cfg.alpha
     h = snap.values
     c0 = state.c
-    y = state.q.conj().T @ h
+    c0h = c0.conj().T
+    qh = state.q.conj().T
+    y = qh @ h
     state.energy = alpha * state.energy + (1.0 - alpha) * float(np.real(h.conj() @ h))
-    state.cov0 = alpha * (c0.conj().T @ state.cov0 @ c0) + (1.0 - alpha) * np.outer(y, y.conj())
+    state.cov0 = _blend(alpha, c0h @ state.cov0 @ c0, y, y.conj())
     if len(state.buffer) >= cfg.beta:
-        y_lag = state.q.conj().T @ state.buffer[-cfg.beta]
-        state.covb = alpha * (c0.conj().T @ state.covb @ c0) + (1.0 - alpha) * np.outer(y, y_lag.conj())
+        y_lag = qh @ state.buffer[-cfg.beta]
+        state.covb = _blend(alpha, c0h @ state.covb @ c0, y, y_lag.conj())
     if not math.isfinite(state.energy):
         state.reset()
         return True
     return False
+
+
+@functools.cache
+def _mdl_index(lm):
+    """MDL's per-candidate tail lengths L_m - k and 0.5 k (2 L_m - k)."""
+    k = np.arange(lm)
+    tail, penalty = lm - k, 0.5 * k * (2 * lm - k)
+    tail.flags.writeable = penalty.flags.writeable = False  # shared by every call
+    return tail, penalty
 
 
 def _mdl_order(eigs, n_eff):
@@ -181,13 +214,10 @@ def _mdl_order(eigs, n_eff):
     is never chosen; with no finite score the order is 0.
     """
     eigs = np.maximum(eigs, 1e-15)
-    lm = eigs.size
-    k = np.arange(lm)
-    tail = lm - k
+    tail, penalty = _mdl_index(eigs.size)
     geo = np.add.accumulate(np.log(eigs)[::-1])[::-1] / tail
     arith = np.add.accumulate(eigs[::-1])[::-1] / tail
-    val = -n_eff * tail * (geo - np.log(arith)) \
-        + 0.5 * k * (2 * lm - k) * math.log(n_eff)
+    val = -n_eff * tail * (geo - np.log(arith)) + penalty * math.log(n_eff)
     # fmin maps NaN to inf, so argmin skips it
     return int(np.fmin(val, math.inf).argmin())
 
@@ -211,7 +241,7 @@ def mdl_order(eigs, n_eff):
 def _eta_subspace(state, l_hat, sigma_n2, eigs, vecs):
     """Eta from the projected covariance accumulators (see module doc)."""
     proj_b = vecs.conj().T @ state.covb @ vecs
-    num = float(np.sum(np.abs(np.diagonal(proj_b))[:l_hat] ** 2))
+    num = float(np.sum(np.abs(np.diagonal(proj_b)[:l_hat]) ** 2))
     den = float(np.sum((eigs[:l_hat] - sigma_n2) ** 2))
     if den <= 0.0:
         return math.nan  # no signal subspace energy: eta is undefined
@@ -243,9 +273,10 @@ def step(state, snap):
     if n < state.start + WARMUP_SYMBOLS:
         return DopplerEstimate(n=n, fd_hat=state.last_fd, eta_hat=math.nan,
                                L_hat=0, sigma_n2_hat=math.nan, newton_iters=0,
-                               flags=EstimateFlags(warmup=True))
+                               flags=_WARMUP)
 
-    herm = 0.5 * (state.cov0 + state.cov0.conj().T)
+    herm = state.cov0 + state.cov0.conj().T
+    herm *= 0.5
     eigs, vecs = np.linalg.eigh(herm)
     eigs = eigs[::-1]
     vecs = vecs[:, ::-1]
@@ -258,7 +289,7 @@ def step(state, snap):
         state.last_fd = 0.0
         return DopplerEstimate(n=n, fd_hat=0.0, eta_hat=eta, L_hat=l_hat,
                                sigma_n2_hat=sigma_n2, newton_iters=0,
-                               flags=EstimateFlags(eta_clamped=True))
+                               flags=_ETA_CLAMPED)
 
     phi = cfg.beta * (1.0 + cfg.geo.r_cp)
     try:
@@ -270,8 +301,8 @@ def step(state, snap):
         # also the exit of an undefined (NaN) eta, which poly_coeffs rejects
         return DopplerEstimate(n=n, fd_hat=state.last_fd, eta_hat=eta,
                                L_hat=l_hat, sigma_n2_hat=sigma_n2, newton_iters=0,
-                               flags=EstimateFlags(not_converged=True))
+                               flags=_NOT_CONVERGED)
     state.last_fd = fd
     return DopplerEstimate(n=n, fd_hat=fd, eta_hat=eta, L_hat=l_hat,
                            sigma_n2_hat=sigma_n2, newton_iters=result.iterations,
-                           flags=EstimateFlags(not_converged=not result.converged))
+                           flags=_VALID if result.converged else _NOT_CONVERGED)

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
-from dopplertrack import harness
-from dopplertrack.channel import ChannelProfile, OfdmGeometry
+from dopplertrack import harness, tracker
+from dopplertrack.channel import (ChannelProfile, OfdmGeometry, make_fading,
+                                  time_avg_cfr)
+from dopplertrack.frontend import ls_observe
 from dopplertrack.harness import (ConfigError, Scenario, emit_csv,
                                   load_config, preset_scenarios, run_grid,
                                   run_trial, scenarios_from_config)
@@ -102,6 +105,30 @@ class TestRunTrial:
         s = small_scenario(duration_ms=40.0, trials=20)
         errs = [run_trial(s, t).norm_err for t in range(20)]
         assert float(np.median(errs)) < 0.10
+
+    @pytest.mark.parametrize("snr_db", [15.0, math.inf])
+    def test_equals_interleaved_receiver_loop(self, snr_db):
+        # run_trial synthesizes every CFR before tracking; the README loop
+        # interleaves synthesis, observation and step per symbol
+        s = small_scenario(snr_db=snr_db, duration_ms=5.0,
+                           delay_drift_ns_per_s=1e4)
+        assert s.n_symbols >= 40
+        fading_seed, noise_seed = harness._trial_seed_words(s, 1)
+        fad = make_fading(s.profile, s.f_d, fading_seed, s.n_oscillators)
+        rng = np.random.default_rng(noise_seed)
+        state = tracker.TrackerState(s.geo.n_pilots, s.tracker_cfg)
+        want = []
+        for n in range(s.n_symbols):
+            h = time_avg_cfr(fad, s.geo, s.profile, n, m_avg=s.m_avg,
+                             drift_ns_per_s=s.delay_drift_ns_per_s)
+            want.append(tracker.step(state, ls_observe(h, s.snr_db, rng, n=n)))
+        got = run_trial(s, 1).estimates
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for f in dataclasses.fields(w):
+                a, b = getattr(g, f.name), getattr(w, f.name)
+                assert a == b or (a != a and b != b), (g.n, f.name, a, b)
+        assert any(not w.flags.warmup for w in want)
 
 
 class TestRunGrid:
@@ -308,3 +335,47 @@ class TestConvergenceMetric:
         shifted = harness.TrialResult(scenario=bogus, trial=0,
                                       estimates=r.estimates)
         assert shifted.convergence_symbol is None
+
+    @pytest.mark.parametrize("n", [49, 50, 51, 160, 416])
+    def test_scan_equals_loop(self, n):
+        rng = np.random.default_rng(n)
+        # errors that fall below the threshold part-way, with a NaN run
+        fd = 400.0 * (1.0 + np.geomspace(2.0, 0.01, n) * rng.normal(size=n))
+        fd[n // 3:n // 3 + 5] = np.nan
+        s = small_scenario(duration_ms=40.0)
+        ests = tuple(tracker.DopplerEstimate(
+            n=i, fd_hat=float(x), eta_hat=0.5, L_hat=1, sigma_n2_hat=0.1,
+            newton_iters=1, flags=tracker.EstimateFlags()) for i, x in enumerate(fd))
+        r = harness.TrialResult(scenario=s, trial=0, estimates=ests)
+        if n >= harness.CONV_WINDOW:
+            err = np.abs(r.fd_series - 400.0) / 400.0
+            assert harness._rolling_median(err).tobytes() \
+                == rolling_median_loop_oracle(err).tobytes()
+        assert r.convergence_symbol == convergence_loop_oracle(r)
+        clean = harness.TrialResult(scenario=s, trial=0, estimates=tuple(
+            dataclasses.replace(e, fd_hat=400.0 + 10.0 * math.sin(e.n))
+            for e in ests))
+        want = 0 if n >= harness.CONV_HOLD else None
+        assert clean.convergence_symbol == convergence_loop_oracle(clean) == want
+
+
+def rolling_median_loop_oracle(err):
+    """The one-median-per-symbol loop convergence_symbol used before."""
+    return np.array([np.median(err[max(0, i - harness.CONV_WINDOW + 1):i + 1])
+                     for i in range(len(err))])
+
+
+def convergence_loop_oracle(result):
+    """convergence_symbol as it was, on the loop's rolling medians."""
+    fd = result.scenario.f_d
+    err = np.abs(result.fd_series - fd) / fd
+    n = len(err)
+    if n < harness.CONV_WINDOW:
+        return None
+    below = rolling_median_loop_oracle(err) < harness.CONV_THRESHOLD
+    run = 0
+    for i in range(n):
+        run = run + 1 if below[i] else 0
+        if run >= harness.CONV_HOLD:
+            return i - run + 1
+    return None

@@ -77,6 +77,15 @@ class TestConfig:
         with pytest.raises(TrackerError):
             TrackerConfig(**kw)
 
+    # one length below the default max_rank, one above it; neither is the
+    # default geometry's 128 pilots
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_state_dim_must_match_pilots(self, dim):
+        with pytest.raises(TrackerError, match="pilot count 128"):
+            TrackerState(dim, TrackerConfig())
+        cfg = TrackerConfig(geo=OfdmGeometry(n_pilots=dim), max_rank=8)
+        assert TrackerState(dim, cfg).q.shape == (dim, 8)
+
 
 class TestUpdateLag0:
     def test_constant_input_rank_one(self):
