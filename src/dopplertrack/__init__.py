@@ -7,7 +7,7 @@ series polynomial in the correlation ratio.
 """
 
 from .channel import (ChannelProfile, FadingRealization, OfdmGeometry,
-                      eval_path_gain, make_fading, time_avg_cfr)
+                      make_fading, time_avg_cfr)
 from .frontend import PilotSnapshot, ls_observe
 from .numerics import (DopplerPolynomial, doppler_from_root, newton_solve,
                        poly_coeffs, xi_exact)
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelProfile", "FadingRealization", "OfdmGeometry",
-    "eval_path_gain", "make_fading", "time_avg_cfr",
+    "make_fading", "time_avg_cfr",
     "PilotSnapshot", "ls_observe",
     "DopplerPolynomial", "doppler_from_root", "newton_solve", "poly_coeffs",
     "xi_exact",

@@ -8,8 +8,9 @@ per-symbol time-averaged channel frequency response on the equispaced
 pilot tones.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,18 +173,6 @@ def make_fading(profile, f_d, seed, n_oscillators=64):
                              omegas=omegas, phases_i=phases_i, phases_q=phases_q)
 
 
-def eval_path_gain(fad, path, t):
-    """Single-path gain h_l(t); scalar t gives a scalar."""
-    if path < 0 or path >= fad.n_paths:
-        raise ChannelError("path index %d out of range" % path)
-    scalar = np.isscalar(t)
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    g = kernels.sos_gains(fad.amps[path:path + 1], fad.omegas[path:path + 1],
-                          fad.phases_i[path:path + 1], fad.phases_q[path:path + 1],
-                          times)[0]
-    return complex(g[0]) if scalar else g
-
-
 def drifted_delays(profile, geo, t0, drift_ns_per_s):
     """Delays in samples at time t0 under a linear drift, checked against the CP."""
     tau = profile.normalized_delays(geo)
@@ -196,8 +185,37 @@ def drifted_delays(profile, geo, t0, drift_ns_per_s):
     return tau
 
 
+# Instants per gains request when a call covers many symbols: 16 symbols
+# at m_avg=64, a 144 KiB block of complex gains and 16 kernel chunks at
+# L=9.
+BLOCK_INSTANTS = 1024
+
+
+@functools.cache
+def _sample_offsets(geo, m_avg):
+    """Sample instants inside a symbol, relative to its start (read-only)."""
+    stride = geo.n_tones / m_avg
+    m_positions = np.arange(m_avg) * stride + (stride - 1.0) / 2.0
+    offsets = (geo.cp_len + m_positions) * geo.t_sample
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _steering(geo, tau):
+    """(P, L) pilot-tone phase ramps of delays tau (in samples)."""
+    return np.exp(-2j * math.pi * np.outer(geo.pilot_indices, tau) / geo.n_tones)
+
+
+@functools.cache
+def _still_steering(geo, profile):
+    """The steering matrix without delay drift (read-only)."""
+    steering = _steering(geo, profile.normalized_delays(geo))
+    steering.flags.writeable = False
+    return steering
+
+
 def time_avg_cfr(fad, geo, profile, n, m_avg=64, drift_ns_per_s=0.0):
-    """Time-averaged CFR on pilot tones for symbol index n.
+    """Time-averaged CFR on pilot tones for symbol index n, or a range of them.
 
     Averages H(n, m, theta_p) = sum_l h_l(nT_s + (L_cp+m)T) F_p(tau_l)
     over m_avg evenly spaced sample positions inside the useful part of
@@ -206,15 +224,28 @@ def time_avg_cfr(fad, geo, profile, n, m_avg=64, drift_ns_per_s=0.0):
     mean within ~1e-5 of the full average; m_avg = N reproduces the
     exact full average over m = 0..N-1.
 
-    Returns a complex vector of length P.
+    n is a symbol index or a range of them. An index returns a complex
+    vector of length P. A range returns a (len(n), P) array whose row k
+    bit-equals the call for index n[k]; its gains are requested in
+    blocks of about BLOCK_INSTANTS instants.
     """
     if not (1 <= m_avg <= geo.n_tones):
         raise ChannelError("m_avg must lie in [1, n_tones]")
-    stride = geo.n_tones / m_avg
-    m_positions = np.arange(m_avg) * stride + (stride - 1.0) / 2.0
-    t0 = n * geo.symbol_duration
-    times = t0 + (geo.cp_len + m_positions) * geo.t_sample
-    mean_gain = fad.gains(times).mean(axis=1)
-    tau = drifted_delays(profile, geo, t0, drift_ns_per_s)
-    steering = np.exp(-2j * math.pi * np.outer(geo.pilot_indices, tau) / geo.n_tones)
-    return steering @ mean_gain
+    single = np.ndim(n) == 0
+    symbols = [n] if single else n
+    offsets = _sample_offsets(geo, m_avg)
+    steering = _still_steering(geo, profile)
+    out = np.empty((len(symbols), geo.n_pilots), dtype=np.complex128)
+    per_block = max(1, BLOCK_INSTANTS // m_avg)
+    for b in range(0, len(symbols), per_block):
+        t0 = np.asarray(symbols[b:b + per_block]) * geo.symbol_duration
+        gains = fad.gains((t0[:, None] + offsets).ravel())
+        # (K, L) with contiguous rows, so that a symbol's matvec does not
+        # depend on how many symbols share its block
+        mean_gain = gains.reshape(fad.n_paths, len(t0), m_avg).mean(axis=2).T.copy()
+        for k, g in enumerate(mean_gain):
+            if drift_ns_per_s:
+                steering = _steering(geo, drifted_delays(profile, geo, t0[k],
+                                                         drift_ns_per_s))
+            out[b + k] = steering @ g
+    return out[0] if single else out

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import frontend, tracker
+from . import frontend, kernels, tracker
 from .channel import (ChannelError, ChannelProfile, OfdmGeometry, drifted_delays,
                       make_fading, time_avg_cfr)
 
@@ -146,19 +146,18 @@ def _trial_seed_words(scenario, trial_index):
 def run_trial(scenario, trial_index):
     """Run one end-to-end trial, deterministic in (scenario, trial_index).
 
-    The trial's true CFRs are synthesized first (n_symbols x pilots
-    complex values), then observed and tracked symbol by symbol, so the
-    tracker's steps run back to back instead of between synthesis calls.
-    The noise draws keep their symbol order, so the result equals the
-    interleaved receiver loop's.
+    The trial's true CFRs are synthesized first, in one time_avg_cfr
+    call over every symbol (n_symbols x pilots complex values), then
+    observed and tracked symbol by symbol, so the tracker's steps run
+    back to back. The noise draws keep their symbol order, so the result
+    equals the interleaved receiver loop's.
     """
     fading_seed, noise_seed = _trial_seed_words(scenario, trial_index)
     fad = make_fading(scenario.profile, scenario.f_d, fading_seed,
                       scenario.n_oscillators)
-    cfrs = [time_avg_cfr(fad, scenario.geo, scenario.profile, n,
-                         m_avg=scenario.m_avg,
-                         drift_ns_per_s=scenario.delay_drift_ns_per_s)
-            for n in range(scenario.n_symbols)]
+    cfrs = time_avg_cfr(fad, scenario.geo, scenario.profile,
+                        range(scenario.n_symbols), m_avg=scenario.m_avg,
+                        drift_ns_per_s=scenario.delay_drift_ns_per_s)
     noise_rng = np.random.default_rng(noise_seed)
     state = tracker.TrackerState(scenario.geo.n_pilots, scenario.tracker_cfg)
     estimates = tuple(
@@ -175,18 +174,22 @@ def run_grid(scenarios, parallelism=1):
     """Run every (scenario, trial) pair; failures are recorded, not fatal.
 
     Trials run on min(parallelism, jobs, cpu count) worker processes; with
-    one worker no pool is started and trials run in this process.
+    one worker no pool is started and trials run in this process. Each
+    pool worker synthesizes on its share of the CPUs, at least one.
 
     Returns (results, errors): results sorted by (scenario_id, trial),
     errors as (scenario_id, trial, "<ExceptionType>: <message>") tuples.
     """
     jobs = [(s, t) for s in scenarios for t in range(s.trials)]
-    workers = min(parallelism, len(jobs), os.cpu_count() or 1)
+    cpus = kernels.cpu_count()
+    workers = min(parallelism, len(jobs), cpus)
     results, errors = [], []
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=kernels._init_pool_worker,
+                                 initargs=(max(1, cpus // workers),)) as pool:
             futures = [(s, t, pool.submit(run_trial, s, t)) for s, t in jobs]
             for s, t, fut in futures:
                 try:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import special
 
-from dopplertrack.channel import (ChannelError, ChannelProfile,
-                                  FadingRealization, OfdmGeometry,
-                                  eval_path_gain, make_fading, time_avg_cfr)
+from dopplertrack.channel import (BLOCK_INSTANTS, ChannelError,
+                                  ChannelProfile, FadingRealization,
+                                  OfdmGeometry, drifted_delays, make_fading,
+                                  time_avg_cfr)
 
 GEO = OfdmGeometry()
 
@@ -68,8 +69,8 @@ class TestProfile:
 class TestFading:
     def test_zero_doppler_frozen(self):
         fad = make_fading(ChannelProfile.preset("eva"), 0.0, seed=7)
-        g1 = eval_path_gain(fad, 0, 0.0)
-        g2 = eval_path_gain(fad, 0, 1.234)
+        g1 = fad.gains(0.0)[0, 0]
+        g2 = fad.gains(1.234)[0, 0]
         assert g1 == pytest.approx(g2)
         gains = fad.gains(np.linspace(0, 1, 50))
         assert np.allclose(gains, gains[:, :1])
@@ -79,22 +80,8 @@ class TestFading:
         a = make_fading(prof, 300.0, seed=42).gains(np.linspace(0, 0.01, 200))
         b = make_fading(prof, 300.0, seed=42).gains(np.linspace(0, 0.01, 200))
         np.testing.assert_array_equal(a, b)
-        assert eval_path_gain(make_fading(prof, 300.0, 42), 3, 0.005) \
-            == eval_path_gain(make_fading(prof, 300.0, 42), 3, 0.005)
-
-    def test_eval_path_gain_matches_gains(self):
-        fad = make_fading(ChannelProfile.preset("eva"), 400.0, seed=3)
-        t = np.linspace(0.0, 0.04, 101)
-        gains = fad.gains(t)
-        for path in (0, 8):
-            np.testing.assert_array_equal(eval_path_gain(fad, path, t), gains[path])
-            for k in (0, 50, 100):
-                assert eval_path_gain(fad, path, t[k]) == gains[path, k]
-
-    def test_path_index_range(self):
-        fad = make_fading(ChannelProfile.preset("eva"), 100.0, seed=1)
-        with pytest.raises(ChannelError):
-            eval_path_gain(fad, 9, 0.0)
+        assert make_fading(prof, 300.0, 42).gains(0.005)[3, 0] \
+            == make_fading(prof, 300.0, 42).gains(0.005)[3, 0]
 
     def test_preconditions(self):
         prof = ChannelProfile.preset("eva")
@@ -114,7 +101,7 @@ class TestFading:
 
     def test_zero_mean(self):
         prof = ChannelProfile("one", (0.0,), (0.0,))
-        vals = [eval_path_gain(make_fading(prof, 200.0, seed=s), 0, 0.3)
+        vals = [make_fading(prof, 200.0, seed=s).gains(0.3)[0, 0]
                 for s in range(10_000)]
         assert abs(np.mean(vals)) < 0.05
 
@@ -135,11 +122,23 @@ class TestFading:
             assert abs(acc[k].real / norm - want) < 0.02
 
 
+def _cfr_one_symbol(fad, prof, n, m_avg, drift):
+    """The per-symbol synthesis, written out step by step."""
+    stride = GEO.n_tones / m_avg
+    m_positions = np.arange(m_avg) * stride + (stride - 1.0) / 2.0
+    t0 = n * GEO.symbol_duration
+    times = t0 + (GEO.cp_len + m_positions) * GEO.t_sample
+    mean_gain = fad.gains(times).mean(axis=1)
+    tau = drifted_delays(prof, GEO, t0, drift)
+    steering = np.exp(-2j * math.pi * np.outer(GEO.pilot_indices, tau) / GEO.n_tones)
+    return steering @ mean_gain
+
+
 class TestTimeAvgCfr:
     def test_flat_static_channel(self):
         prof = ChannelProfile("one", (0.0,), (0.0,))
         fad = make_fading(prof, 0.0, seed=5)
-        h = eval_path_gain(fad, 0, GEO.cp_len * GEO.t_sample)
+        h = fad.gains(GEO.cp_len * GEO.t_sample)[0, 0]
         out = time_avg_cfr(fad, GEO, prof, n=0)
         np.testing.assert_allclose(out, h, rtol=1e-12)
 
@@ -147,7 +146,7 @@ class TestTimeAvgCfr:
         # delay of 4.5 samples = 375 ns at 12 MHz
         prof = ChannelProfile("one", (375.0,), (0.0,))
         fad = make_fading(prof, 0.0, seed=5)
-        h = eval_path_gain(fad, 0, 0.0)
+        h = fad.gains(0.0)[0, 0]
         out = time_avg_cfr(fad, GEO, prof, n=0)
         theta = GEO.pilot_indices
         expect = h * np.exp(-2j * math.pi * theta * 4.5 / GEO.n_tones)
@@ -195,6 +194,37 @@ class TestTimeAvgCfr:
         for drift in (-2e3, 2e5):
             with pytest.raises(ChannelError):
                 time_avg_cfr(fad, GEO, prof, n=1000, drift_ns_per_s=drift)
+
+    @pytest.mark.parametrize("name", ["eva", "etu"])
+    @pytest.mark.parametrize("drift", [0.0, 1e4])
+    @pytest.mark.parametrize("m_avg", [1, 64, GEO.n_tones])
+    def test_range_equals_stacked_calls(self, name, drift, m_avg):
+        # the range starts at 5 and ends 3 symbols into its second block
+        # of gains
+        prof = ChannelProfile.preset(name)
+        fad = make_fading(prof, 400.0, seed=3)
+        per_block = max(1, BLOCK_INSTANTS // m_avg)
+        symbols = range(5, 5 + per_block + 3)
+        got = time_avg_cfr(fad, GEO, prof, symbols, m_avg=m_avg,
+                           drift_ns_per_s=drift)
+        want = np.stack([_cfr_one_symbol(fad, prof, n, m_avg, drift)
+                         for n in symbols])
+        assert got.shape == (len(symbols), GEO.n_pilots)
+        np.testing.assert_array_equal(got, want)
+        for k in (0, len(symbols) - 1):
+            np.testing.assert_array_equal(
+                time_avg_cfr(fad, GEO, prof, symbols[k], m_avg=m_avg,
+                             drift_ns_per_s=drift), want[k])
+
+    def test_range_drift_outside_cp_rejected(self):
+        # -2e3 ns/s moves a 100 ns delay (1.2 samples) below 0 after
+        # symbol 520, so only ranges that reach symbol 521 fail
+        prof = ChannelProfile("one", (100.0,), (0.0,))
+        fad = make_fading(prof, 0.0, seed=9)
+        time_avg_cfr(fad, GEO, prof, range(500, 521), drift_ns_per_s=-2e3)
+        for symbols in (range(500, 530), range(521, 522)):
+            with pytest.raises(ChannelError):
+                time_avg_cfr(fad, GEO, prof, symbols, drift_ns_per_s=-2e3)
 
     def test_stationarity_across_symbols(self):
         # lag-1 sample autocorrelation should not depend on where the

@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from dopplertrack import harness, tracker
+from dopplertrack import harness, kernels, tracker
 from dopplertrack.channel import (ChannelProfile, OfdmGeometry, make_fading,
                                   time_avg_cfr)
 from dopplertrack.frontend import ls_observe
@@ -101,6 +102,12 @@ class TestRunTrial:
             for j in range(i + 1, 4):
                 assert abs(np.mean(e[i] * e[j])) < 0.1
 
+    def test_no_thread_outlives_trial(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_threads", 2)
+        before = threading.active_count()
+        run_trial(small_scenario(), 0)
+        assert threading.active_count() == before
+
     def test_accuracy_eva_400(self):
         s = small_scenario(duration_ms=40.0, trials=20)
         errs = [run_trial(s, t).norm_err for t in range(20)]
@@ -166,15 +173,19 @@ class TestRunGrid:
         assert [e.fd_hat for e in results[0].estimates] \
             == [e.fd_hat for e in serial[0].estimates]
 
-    @pytest.mark.parametrize("cpus, pools", [(8, [3]), (2, [2]), (None, [])])
+    # (workers, threads per worker) of each pool started
+    @pytest.mark.parametrize("cpus, pools", [(8, [(3, 2)]), (2, [(2, 1)]),
+                                             (None, [])])
     def test_workers_fit_jobs_and_cpus(self, monkeypatch, cpus, pools):
         import concurrent.futures
 
         started = []
 
         class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
+            # records the pool worker initializer without running it here
+            def __init__(self, max_workers, initializer, initargs):
+                assert initializer is kernels._init_pool_worker
+                started.append((max_workers,) + initargs)
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)

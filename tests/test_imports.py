@@ -9,7 +9,8 @@ import dopplertrack
 from dopplertrack import numerics
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-LAZY = ("scipy.special", "yaml", "concurrent.futures.process")
+LAZY = ("scipy.special", "yaml", "concurrent.futures",
+        "concurrent.futures.process")
 
 PROBE = """
 import json, sys

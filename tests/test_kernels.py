@@ -1,6 +1,8 @@
 import math
+import threading
 
 import numpy as np
+import pytest
 
 from dopplertrack import kernels
 
@@ -29,30 +31,55 @@ def test_matches_python_loop():
             assert abs(g[l, k] - a[l] * acc) <= 1e-12
 
 
+# chunk width, in instants, at L=9, M=64
+WIDTH = kernels.CHUNK_ELEMENTS // (9 * 64)
+
+
 def test_reference_chunking_consistent():
-    # at L=9, M=64 the kernel works in chunks of 6944 instants, so 8000
-    # instants cross one chunk boundary
-    args = make_inputs(seed=3, n_t=8000)
+    # 1.5 chunks of instants cross one chunk boundary, and the split
+    # point lies inside the first chunk
+    args = make_inputs(seed=3, n_t=WIDTH + WIDTH // 2)
     whole = kernels.sos_gains(*args)
     a, w, pi_, pq, t = args
-    parts = np.concatenate([kernels.sos_gains(a, w, pi_, pq, t[:1234]),
-                            kernels.sos_gains(a, w, pi_, pq, t[1234:])],
+    cut = WIDTH // 3
+    parts = np.concatenate([kernels.sos_gains(a, w, pi_, pq, t[:cut]),
+                            kernels.sos_gains(a, w, pi_, pq, t[cut:])],
                            axis=1)
-    np.testing.assert_allclose(whole, parts, rtol=1e-13)
+    np.testing.assert_array_equal(whole, parts)
 
 
 def test_instant_independent_of_batch():
-    # 6945 instants at L=9, M=64 leave a one-instant tail after the
-    # 6944-instant chunk; every instant must come out bit-equal whether
-    # it is requested alone, in a pair or in the whole batch
-    a, w, pi_, pq, t = make_inputs(seed=9, n_t=6945)
+    # WIDTH + 1 instants leave a one-instant tail after the first chunk;
+    # every instant must come out bit-equal whether it is requested
+    # alone, in a pair or in the whole batch
+    a, w, pi_, pq, t = make_inputs(seed=9, n_t=WIDTH + 1)
     whole = kernels.sos_gains(a, w, pi_, pq, t)
-    for k in (0, 1, 17, 3000, 6943, 6944):
+    for k in (0, 1, 17, WIDTH // 2, WIDTH - 1, WIDTH):
         alone = kernels.sos_gains(a, w, pi_, pq, t[k:k + 1])
         pair = kernels.sos_gains(a, w, pi_, pq, t[k - 1:k + 1] if k else t[:2])
         assert alone.shape == (9, 1)
         np.testing.assert_array_equal(alone[:, 0], whole[:, k])
         np.testing.assert_array_equal(pair[:, 1 if k else 0], whole[:, k])
+
+
+# 1, 2, 3 and 5 chunks; 2 * WIDTH + 1 folds its one-instant tail into
+# the second chunk
+@pytest.mark.parametrize("n_t", [WIDTH, 2 * WIDTH, 3 * WIDTH - 5, 5 * WIDTH,
+                                 2 * WIDTH + 1])
+@pytest.mark.parametrize("threads", [2, 3])
+def test_threads_match_single_thread(monkeypatch, n_t, threads):
+    args = make_inputs(seed=13, n_t=n_t)
+    monkeypatch.setattr(kernels, "_threads", 1)
+    single = kernels.sos_gains(*args)
+    monkeypatch.setattr(kernels, "_threads", threads)
+    np.testing.assert_array_equal(kernels.sos_gains(*args), single)
+
+
+def test_no_thread_outlives_call(monkeypatch):
+    monkeypatch.setattr(kernels, "_threads", 3)
+    before = threading.active_count()
+    kernels.sos_gains(*make_inputs(seed=15, n_t=4 * WIDTH))
+    assert threading.active_count() == before
 
 
 def test_determinism():
