@@ -11,8 +11,8 @@ from .channel import (ChannelProfile, FadingRealization, OfdmGeometry,
 from .frontend import PilotSnapshot, ls_observe
 from .numerics import (DopplerPolynomial, doppler_from_root, newton_solve,
                        poly_coeffs, xi_exact)
-from .tracker import (DopplerEstimate, TrackerConfig, TrackerState,
-                      mdl_order, step, update_lag0)
+from .tracker import (DopplerEstimate, TrackerConfig, TrackerState, step,
+                      update_lag0)
 from .harness import Scenario, TrialResult, emit_csv, run_grid, run_trial
 
 __version__ = "0.1.0"
@@ -24,7 +24,7 @@ __all__ = [
     "DopplerPolynomial", "doppler_from_root", "newton_solve", "poly_coeffs",
     "xi_exact",
     "DopplerEstimate", "TrackerConfig", "TrackerState",
-    "mdl_order", "step", "update_lag0",
+    "step", "update_lag0",
     "Scenario", "TrialResult", "emit_csv", "run_grid", "run_trial",
     "__version__",
 ]

@@ -136,11 +136,12 @@ class FadingRealization:
     def n_paths(self):
         return self.amps.shape[0]
 
-    def gains(self, times):
-        """Path gains, shape (L, len(times))."""
+    def gains(self, times, m_avg=1):
+        """Path gains averaged over runs of m_avg instants, shape
+        (L, len(times) // m_avg); m_avg = 1 gives each instant's gain."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         return kernels.sos_gains(self.amps, self.omegas, self.phases_i,
-                                 self.phases_q, times)
+                                 self.phases_q, times, m_avg)
 
 
 def make_fading(profile, f_d, seed, n_oscillators=64):
@@ -185,12 +186,6 @@ def drifted_delays(profile, geo, t0, drift_ns_per_s):
     return tau
 
 
-# Instants per gains request when a call covers many symbols: 16 symbols
-# at m_avg=64, a 144 KiB block of complex gains and 16 kernel chunks at
-# L=9.
-BLOCK_INSTANTS = 1024
-
-
 @functools.cache
 def _sample_offsets(geo, m_avg):
     """Sample instants inside a symbol, relative to its start (read-only)."""
@@ -226,26 +221,23 @@ def time_avg_cfr(fad, geo, profile, n, m_avg=64, drift_ns_per_s=0.0):
 
     n is a symbol index or a range of them. An index returns a complex
     vector of length P. A range returns a (len(n), P) array whose row k
-    bit-equals the call for index n[k]; its gains are requested in
-    blocks of about BLOCK_INSTANTS instants.
+    bit-equals the call for index n[k]. The mean gains of all its
+    symbols come from one gains request; the per-instant gains are
+    never held whole.
     """
     if not (1 <= m_avg <= geo.n_tones):
         raise ChannelError("m_avg must lie in [1, n_tones]")
     single = np.ndim(n) == 0
-    symbols = [n] if single else n
-    offsets = _sample_offsets(geo, m_avg)
+    t0 = np.asarray([n] if single else n) * geo.symbol_duration
+    times = (t0[:, None] + _sample_offsets(geo, m_avg)).ravel()
+    # (K, L) with contiguous rows, so that a symbol's matvec does not
+    # depend on how many symbols share the call
+    mean_gain = fad.gains(times, m_avg).T.copy()
     steering = _still_steering(geo, profile)
-    out = np.empty((len(symbols), geo.n_pilots), dtype=np.complex128)
-    per_block = max(1, BLOCK_INSTANTS // m_avg)
-    for b in range(0, len(symbols), per_block):
-        t0 = np.asarray(symbols[b:b + per_block]) * geo.symbol_duration
-        gains = fad.gains((t0[:, None] + offsets).ravel())
-        # (K, L) with contiguous rows, so that a symbol's matvec does not
-        # depend on how many symbols share its block
-        mean_gain = gains.reshape(fad.n_paths, len(t0), m_avg).mean(axis=2).T.copy()
-        for k, g in enumerate(mean_gain):
-            if drift_ns_per_s:
-                steering = _steering(geo, drifted_delays(profile, geo, t0[k],
-                                                         drift_ns_per_s))
-            out[b + k] = steering @ g
+    out = np.empty((len(t0), geo.n_pilots), dtype=np.complex128)
+    for k, g in enumerate(mean_gain):
+        if drift_ns_per_s:
+            steering = _steering(geo, drifted_delays(profile, geo, t0[k],
+                                                     drift_ns_per_s))
+        out[k] = steering @ g
     return out[0] if single else out

@@ -207,7 +207,11 @@ def _mdl_index(lm):
 
 
 def _mdl_order(eigs, n_eff):
-    """MDL order of eigenvalues already sorted descending (see mdl_order).
+    """Minimum description length model order of descending eigenvalues.
+
+    Returns argmin over k in [0, L_m - 1] of
+    -n_eff (L_m - k) ln(geoMean / arithMean of the trailing L_m - k
+    eigenvalues) + k (2 L_m - k) ln(n_eff) / 2, with n_eff >= L_m.
 
     The tail means of the eigenvalues and of their logs come from reverse
     cumulative sums, so every candidate k is scored at once. A NaN score
@@ -220,22 +224,6 @@ def _mdl_order(eigs, n_eff):
     val = -n_eff * tail * (geo - np.log(arith)) + penalty * math.log(n_eff)
     # fmin maps NaN to inf, so argmin skips it
     return int(np.fmin(val, math.inf).argmin())
-
-
-def mdl_order(eigs, n_eff):
-    """Minimum description length model order from descending eigenvalues.
-
-    Returns argmin over k in [0, L_m - 1] of
-    -n_eff (L_m - k) ln(geoMean / arithMean of the trailing L_m - k
-    eigenvalues) + k (2 L_m - k) ln(n_eff) / 2.
-    """
-    eigs = np.asarray(eigs, dtype=float)
-    lm = eigs.size
-    if n_eff < lm:
-        raise TrackerError("n_eff must be >= the eigenvalue count")
-    if np.any(np.diff(eigs) > 1e-12 * max(1.0, abs(eigs[0]))):
-        raise TrackerError("eigenvalues must be sorted descending")
-    return _mdl_order(eigs, n_eff)
 
 
 def _eta_subspace(state, l_hat, sigma_n2, eigs, vecs):
@@ -251,58 +239,63 @@ def _eta_subspace(state, l_hat, sigma_n2, eigs, vecs):
 def step(state, snap):
     """Process one snapshot and emit a per-symbol Doppler estimate.
 
-    Inner numerics failures surface as flags, never as exceptions, so a
-    stream keeps running through transient bad estimates. A snapshot
-    that overflows the tracked statistics resets the stream state
-    without being kept; its estimate and the next WARMUP_SYMBOLS are
-    flagged warmup, and from then on the stream emits what a new stream
-    fed the later snapshots would.
+    Inner numerics failures surface as flags, never as exceptions or
+    warnings, so a stream keeps running through transient bad estimates.
+    A snapshot that overflows the tracked statistics resets the stream
+    state without being kept; its estimate and the next WARMUP_SYMBOLS
+    are flagged warmup, and from then on the stream emits what a new
+    stream fed the later snapshots would.
     """
-    cfg = state.cfg
-    n = state.n
-    # advanced first, so a reset inside these calls sets start = n + 1:
-    # the bad snapshot is not in the restarted statistics
-    state.n = n + 1
-    restarted = update_lag0(state, snap) or _accumulate(state, snap)
-    if not restarted:
-        state.buffer.append(snap.values)
+    # an overflow or NaN on the way ends in the documented reset or flag
+    with np.errstate(over="ignore", invalid="ignore"):
+        cfg = state.cfg
+        n = state.n
+        # advanced first, so a reset inside these calls sets start = n + 1:
+        # the bad snapshot is not in the restarted statistics
+        state.n = n + 1
+        restarted = update_lag0(state, snap) or _accumulate(state, snap)
+        if not restarted:
+            state.buffer.append(snap.values)
 
-    # covb gets its first beta-lag product within beta + 1 symbols of
-    # start, and beta + 1 <= 5 < WARMUP_SYMBOLS, so the window also
-    # covers the buffer fill
-    if n < state.start + WARMUP_SYMBOLS:
-        return DopplerEstimate(n=n, fd_hat=state.last_fd, eta_hat=math.nan,
-                               L_hat=0, sigma_n2_hat=math.nan, newton_iters=0,
-                               flags=_WARMUP)
+        # covb gets its first beta-lag product within beta + 1 symbols of
+        # start, and beta + 1 <= 5 < WARMUP_SYMBOLS, so the window also
+        # covers the buffer fill
+        if n < state.start + WARMUP_SYMBOLS:
+            return DopplerEstimate(n=n, fd_hat=state.last_fd,
+                                   eta_hat=math.nan, L_hat=0,
+                                   sigma_n2_hat=math.nan, newton_iters=0,
+                                   flags=_WARMUP)
 
-    herm = state.cov0 + state.cov0.conj().T
-    herm *= 0.5
-    eigs, vecs = np.linalg.eigh(herm)
-    eigs = eigs[::-1]
-    vecs = vecs[:, ::-1]
-    n_eff = min(n + 1 - state.start, int(round(1.0 / (1.0 - cfg.alpha))))
-    l_hat = max(_mdl_order(eigs, max(n_eff, cfg.max_rank)), 1)
-    sigma_n2 = max((state.energy - float(eigs[:l_hat].sum())) / (state.dim - l_hat), 0.0)
-    eta = _eta_subspace(state, l_hat, sigma_n2, eigs, vecs)
+        herm = state.cov0 + state.cov0.conj().T
+        herm *= 0.5
+        eigs, vecs = np.linalg.eigh(herm)
+        eigs = eigs[::-1]
+        vecs = vecs[:, ::-1]
+        n_eff = min(n + 1 - state.start, int(round(1.0 / (1.0 - cfg.alpha))))
+        l_hat = max(_mdl_order(eigs, max(n_eff, cfg.max_rank)), 1)
+        sigma_n2 = max((state.energy - float(eigs[:l_hat].sum()))
+                       / (state.dim - l_hat), 0.0)
+        eta = _eta_subspace(state, l_hat, sigma_n2, eigs, vecs)
 
-    if eta >= 1.0:
-        state.last_fd = 0.0
-        return DopplerEstimate(n=n, fd_hat=0.0, eta_hat=eta, L_hat=l_hat,
-                               sigma_n2_hat=sigma_n2, newton_iters=0,
-                               flags=_ETA_CLAMPED)
+        if eta >= 1.0:
+            state.last_fd = 0.0
+            return DopplerEstimate(n=n, fd_hat=0.0, eta_hat=eta, L_hat=l_hat,
+                                   sigma_n2_hat=sigma_n2, newton_iters=0,
+                                   flags=_ETA_CLAMPED)
 
-    phi = cfg.beta * (1.0 + cfg.geo.r_cp)
-    try:
-        poly = numerics.poly_coeffs(eta, phi, cfg.series_order)
-        result = numerics.newton_solve(poly)
-        fd = numerics.doppler_from_root(result.root, cfg.geo.n_tones,
-                                        cfg.geo.t_sample)
-    except numerics.NumericsError:
-        # also the exit of an undefined (NaN) eta, which poly_coeffs rejects
-        return DopplerEstimate(n=n, fd_hat=state.last_fd, eta_hat=eta,
-                               L_hat=l_hat, sigma_n2_hat=sigma_n2, newton_iters=0,
-                               flags=_NOT_CONVERGED)
-    state.last_fd = fd
-    return DopplerEstimate(n=n, fd_hat=fd, eta_hat=eta, L_hat=l_hat,
-                           sigma_n2_hat=sigma_n2, newton_iters=result.iterations,
-                           flags=_VALID if result.converged else _NOT_CONVERGED)
+        phi = cfg.beta * (1.0 + cfg.geo.r_cp)
+        try:
+            poly = numerics.poly_coeffs(eta, phi, cfg.series_order)
+            result = numerics.newton_solve(poly)
+            fd = numerics.doppler_from_root(result.root, cfg.geo.n_tones,
+                                            cfg.geo.t_sample)
+        except numerics.NumericsError:
+            # also the exit of an undefined (NaN) eta, which poly_coeffs rejects
+            return DopplerEstimate(n=n, fd_hat=state.last_fd, eta_hat=eta,
+                                   L_hat=l_hat, sigma_n2_hat=sigma_n2,
+                                   newton_iters=0, flags=_NOT_CONVERGED)
+        state.last_fd = fd
+        return DopplerEstimate(
+            n=n, fd_hat=fd, eta_hat=eta, L_hat=l_hat, sigma_n2_hat=sigma_n2,
+            newton_iters=result.iterations,
+            flags=_VALID if result.converged else _NOT_CONVERGED)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy import special
 
-from dopplertrack.channel import (BLOCK_INSTANTS, ChannelError,
-                                  ChannelProfile, FadingRealization,
-                                  OfdmGeometry, drifted_delays, make_fading,
-                                  time_avg_cfr)
+from dopplertrack import kernels
+from dopplertrack.channel import (ChannelError, ChannelProfile,
+                                  FadingRealization, OfdmGeometry,
+                                  drifted_delays, make_fading, time_avg_cfr)
 
 GEO = OfdmGeometry()
 
@@ -199,12 +199,12 @@ class TestTimeAvgCfr:
     @pytest.mark.parametrize("drift", [0.0, 1e4])
     @pytest.mark.parametrize("m_avg", [1, 64, GEO.n_tones])
     def test_range_equals_stacked_calls(self, name, drift, m_avg):
-        # the range starts at 5 and ends 3 symbols into its second block
-        # of gains
+        # the range starts at 5 and ends 3 symbols into the kernel's
+        # second chunk of runs
         prof = ChannelProfile.preset(name)
         fad = make_fading(prof, 400.0, seed=3)
-        per_block = max(1, BLOCK_INSTANTS // m_avg)
-        symbols = range(5, 5 + per_block + 3)
+        per_chunk = max(1, kernels.CHUNK_ELEMENTS // (fad.omegas.size * m_avg))
+        symbols = range(5, 5 + per_chunk + 3)
         got = time_avg_cfr(fad, GEO, prof, symbols, m_avg=m_avg,
                            drift_ns_per_s=drift)
         want = np.stack([_cfr_one_symbol(fad, prof, n, m_avg, drift)

@@ -75,6 +75,27 @@ def test_threads_match_single_thread(monkeypatch, n_t, threads):
     np.testing.assert_array_equal(kernels.sos_gains(*args), single)
 
 
+# (whole chunks, extra runs): 1, 2 and 3 chunks plus a short fourth
+@pytest.mark.parametrize("size", [(1, 0), (2, 0), (3, 1)],
+                         ids=["1-chunk", "2-chunks", "3-chunks-and-1-run"])
+@pytest.mark.parametrize("m_avg", [2, 3, 64, 1024])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_run_means_equal_mean_of_instants(monkeypatch, size, m_avg, threads):
+    per_chunk = max(1, WIDTH // m_avg)
+    runs = size[0] * per_chunk + size[1]
+    args = make_inputs(seed=17, n_t=runs * m_avg)
+    monkeypatch.setattr(kernels, "_threads", threads)
+    want = kernels.sos_gains(*args).reshape(9, runs, m_avg).mean(axis=2)
+    got = kernels.sos_gains(*args, m_avg)
+    assert got.shape == (9, runs)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_partial_run_rejected():
+    with pytest.raises(ValueError):
+        kernels.sos_gains(*make_inputs(seed=19, n_t=130), 64)
+
+
 def test_no_thread_outlives_call(monkeypatch):
     monkeypatch.setattr(kernels, "_threads", 3)
     before = threading.active_count()
