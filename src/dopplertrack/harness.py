@@ -70,6 +70,15 @@ class Scenario:
             warnings.warn(
                 "f_d*T_s = %.3f exceeds 0.1; outside the model's validity region"
                 % (self.f_d * self.geo.symbol_duration), stacklevel=2)
+        if self.profile.n_paths >= self.tracker_cfg.max_rank:
+            # MDL reports at most max_rank - 1 paths, so the rest fall
+            # into the noise floor and fd_hat runs low, unflagged
+            warnings.warn(
+                "profile %r has %d paths, at least max_rank=%d; estimates "
+                "may run low without a flag" % (self.profile.name,
+                                                 self.profile.n_paths,
+                                                 self.tracker_cfg.max_rank),
+                stacklevel=2)
 
     @property
     def geo(self):

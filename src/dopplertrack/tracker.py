@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import numerics
 from .channel import OfdmGeometry
@@ -89,8 +90,10 @@ class TrackerState:
     """Mutable per-stream state; single writer, updates in symbol order.
 
     ``q``, ``a``, ``c`` and ``r`` are the lag-0 QR recursion (see
-    :func:`update_lag0`); ``cov0`` and ``covb`` are the projected
-    covariance accumulators in its basis (see ``_accumulate``).
+    :func:`update_lag0`); ``qh`` is ``q.conj().T``, formed once per
+    symbol when ``q`` is set and read by the next ``c`` and by
+    ``_accumulate``. ``cov0`` and ``covb`` are the projected covariance
+    accumulators in its basis (see ``_accumulate``).
     """
 
     def __init__(self, dim, cfg):
@@ -115,6 +118,7 @@ class TrackerState:
         self.start = self.n
         self.q = np.zeros((dim, rank), dtype=np.complex128)
         self.q[:rank, :rank] = np.eye(rank)
+        self.qh = self.q.conj().T
         self.a = np.zeros((dim, rank), dtype=np.complex128)
         self.c = np.eye(rank, dtype=np.complex128)
         self.r = np.zeros((rank, rank), dtype=np.complex128)
@@ -136,6 +140,30 @@ def _blend(alpha, old, col, row):
     return old
 
 
+@functools.cache
+def _strict_lower(rank):
+    """Mask of a rank x rank matrix's strict lower triangle."""
+    mask = np.tri(rank, k=-1, dtype=bool)
+    mask.flags.writeable = False  # shared by every call
+    return mask
+
+
+def _qr(a):
+    """``np.linalg.qr(a)`` of a tall complex128 ``a``, bit for bit.
+
+    Calls the two LAPACK gufuncs ``np.linalg.qr`` calls, without its
+    per-call wrapping; R is the upper triangle of the factored copy's
+    first rows.
+    """
+    rank = a.shape[1]
+    fac = a.copy()
+    tau = _umath_linalg.qr_r_raw(fac)  # factors fac in place
+    q = _umath_linalg.qr_reduced(fac, tau)
+    r = fac[:rank]
+    r[_strict_lower(rank)] = 0.0
+    return q, r
+
+
 def update_lag0(state, snap):
     """One exponentially weighted QR step for the 0-lag autocorrelation.
 
@@ -152,15 +180,15 @@ def update_lag0(state, snap):
     if not np.all(np.isfinite(a_new.view(np.float64))):
         state.reset()
         return True
-    q_new, r_new = np.linalg.qr(a_new)
+    q_new, r_new = _qr(a_new)
     d = np.diagonal(r_new)
     mag = np.abs(d)
-    nonzero = mag > 0.0
-    ph = np.where(nonzero, d / np.where(nonzero, mag, 1.0), 1.0)
+    ph = np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
     q_new *= ph
     r_new *= ph.conj()[:, None]
-    state.c = state.q.conj().T @ q_new
+    state.c = state.qh @ q_new
     state.q = q_new
+    state.qh = q_new.conj().T
     state.a = a_new
     state.r = r_new
     return False
@@ -184,7 +212,7 @@ def _accumulate(state, snap):
     h = snap.values
     c0 = state.c
     c0h = c0.conj().T
-    qh = state.q.conj().T
+    qh = state.qh
     y = qh @ h
     state.energy = alpha * state.energy + (1.0 - alpha) * float(np.real(h.conj() @ h))
     state.cov0 = _blend(alpha, c0h @ state.cov0 @ c0, y, y.conj())
@@ -268,7 +296,8 @@ def step(state, snap):
 
         herm = state.cov0 + state.cov0.conj().T
         herm *= 0.5
-        eigs, vecs = np.linalg.eigh(herm)
+        # the LAPACK gufunc np.linalg.eigh calls, without its wrapping
+        eigs, vecs = _umath_linalg.eigh_lo(herm)
         eigs = eigs[::-1]
         vecs = vecs[:, ::-1]
         n_eff = min(n + 1 - state.start, int(round(1.0 / (1.0 - cfg.alpha))))

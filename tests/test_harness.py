@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,17 @@ class TestScenario:
     def test_validity_region_warning(self):
         with pytest.warns(UserWarning):
             small_scenario(f_d=1200.0)
+
+    def test_rank_warning(self):
+        # EVA has 9 paths; MDL reports at most max_rank - 1 of them
+        with pytest.warns(UserWarning, match="9 paths, at least max_rank=9"):
+            small_scenario(tracker_cfg=TrackerConfig(max_rank=9))
+        with pytest.warns(UserWarning, match="max_rank=4"):
+            small_scenario(tracker_cfg=TrackerConfig(max_rank=4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            small_scenario(tracker_cfg=TrackerConfig(max_rank=10))
+            small_scenario(profile=ChannelProfile.preset("etu"))
 
 
 class TestRunTrial:
@@ -300,7 +312,8 @@ class TestConfig:
         doc = {"geometry": {"tones": 512, "cp_length": 64, "pilots": 64,
                             "sample_period_ns": 100.0},
                "tracker": {"max_rank": 6}, "duration_ms": 10}
-        sc = scenarios_from_config(doc)[0]
+        with pytest.warns(UserWarning, match="max_rank=6"):
+            sc = scenarios_from_config(doc)[0]
         assert sc.tracker_cfg.geo == OfdmGeometry(n_tones=512, cp_len=64,
                                                   t_sample=100.0 * 1e-9, n_pilots=64)
         assert sc.geo is sc.tracker_cfg.geo

@@ -12,7 +12,7 @@ from dopplertrack.channel import ChannelProfile, OfdmGeometry, make_fading, time
 from dopplertrack.frontend import PilotSnapshot, ls_observe
 from dopplertrack.numerics import xi_exact
 from dopplertrack.tracker import (TrackerConfig, TrackerError, TrackerState,
-                                  _mdl_order, step, update_lag0)
+                                  _mdl_order, _qr, step, update_lag0)
 
 GEO = OfdmGeometry()
 
@@ -136,6 +136,106 @@ class TestUpdateLag0:
         state = TrackerState(128, TrackerConfig(geo=GEO))
         with pytest.raises(TrackerError):
             update_lag0(state, snap_of(np.zeros(64)))
+
+
+def lag0_numpy_route(state, h):
+    """update_lag0's new C, Q, R and A through np.linalg.qr and the two
+    np.where calls of its phase fix; state is not changed."""
+    a_new = tracker._blend(state.cfg.alpha, state.a @ state.c, h, h.conj() @ state.q)
+    q_new, r_new = np.linalg.qr(a_new)
+    d = np.diagonal(r_new)
+    mag = np.abs(d)
+    nonzero = mag > 0.0
+    ph = np.where(nonzero, d / np.where(nonzero, mag, 1.0), 1.0)
+    q_new *= ph
+    r_new *= ph.conj()[:, None]
+    return state.q.conj().T @ q_new, q_new, r_new, a_new
+
+
+@st.composite
+def tall_complex(draw):
+    """Tall complex matrices (128x10 and a few other tracker shapes), scaled
+    by 2^k, with some columns zeroed so some R diagonal is 0."""
+    dim, rank = draw(st.sampled_from([(128, 10), (128, 10), (32, 8), (16, 16), (128, 1)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    a[:, draw(st.lists(st.booleans(), min_size=rank, max_size=rank))] = 0.0
+    return a * 2.0 ** draw(st.integers(-300, 300))
+
+
+@st.composite
+def hermitian_repeated(draw):
+    """Hermitian 10x10 matrices U diag(lam) U^H whose eigenvalues are drawn
+    from a pool of at most 4 values, so most of them repeat."""
+    pool = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+    lam = np.array(draw(st.lists(st.sampled_from(pool), min_size=10, max_size=10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = np.eye(10) if draw(st.booleans()) else np.linalg.qr(
+        rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10)))[0]
+    m = (u * lam) @ u.conj().T
+    herm = m + m.conj().T
+    herm *= 0.5 * 2.0 ** draw(st.integers(-300, 300))
+    return herm
+
+
+class TestDirectLapack:
+    """The tracker calls NumPy's LAPACK gufuncs directly; these pin them
+    bit for bit to the public np.linalg routines they stand in for."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tall_complex())
+    def test_qr_equals_numpy(self, a):
+        q, r = _qr(a)
+        q_ref, r_ref = np.linalg.qr(a)
+        assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+
+    def test_qr_of_reset_basis(self):
+        state = TrackerState(GEO.n_pilots, TrackerConfig(geo=GEO))
+        for a in (state.q, state.a):
+            q, r = _qr(a)
+            q_ref, r_ref = np.linalg.qr(a)
+            assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hermitian_repeated())
+    def test_eigh_equals_numpy(self, herm):
+        w, v = tracker._umath_linalg.eigh_lo(herm)
+        w_ref, v_ref = np.linalg.eigh(herm)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.lists(st.booleans(), min_size=10, max_size=10),
+                    min_size=1, max_size=3))
+    def test_update_lag0_equals_numpy_route(self, seed, zeros):
+        # zeroed entries among a fresh state's first 10 pilots zero those
+        # columns of A, so diag(R) has zeros and their phase stays 1
+        rng = np.random.default_rng(seed)
+        state = TrackerState(GEO.n_pilots, TrackerConfig(geo=GEO))
+        for zero in zeros:
+            h = rng.normal(size=128) + 1j * rng.normal(size=128)
+            h[:10][zero] = 0.0
+            want = lag0_numpy_route(state, h)
+            assert not update_lag0(state, snap_of(h))
+            for got, ref in zip((state.c, state.q, state.r, state.a), want):
+                assert np.array_equal(got, ref)
+            assert np.array_equal(state.qh, state.q.conj().T)
+
+
+class TestStateQh:
+    def test_after_reset(self):
+        state = TrackerState(GEO.n_pilots, TrackerConfig(geo=GEO))
+        assert np.array_equal(state.qh, state.q.conj().T)
+        for s in three_tap_stream(30, 20.0, seed=4):
+            step(state, s)
+        state.reset()
+        assert np.array_equal(state.qh, state.q.conj().T)
+
+    def test_after_update_lag0(self):
+        state = TrackerState(GEO.n_pilots, TrackerConfig(geo=GEO))
+        for s in three_tap_stream(30, 20.0, seed=4):
+            update_lag0(state, s)
+            assert np.array_equal(state.qh, state.q.conj().T)
 
 
 class TestMdl:
@@ -390,6 +490,17 @@ class TestOverflowRecovery:
         for e, f in zip(ests, fresh):
             np.testing.assert_equal(dataclasses.astuple(dataclasses.replace(e, n=0)),
                                     dataclasses.astuple(dataclasses.replace(f, n=0)))
+
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_qh_tracks_q_through_reset(self, eva400_snapshots, scale):
+        state = TrackerState(GEO.n_pilots, TrackerConfig(geo=GEO))
+        for s in eva400_snapshots[:60]:
+            if s.n == 50:
+                s = PilotSnapshot(n=50, values=s.values * scale, snr_db=s.snr_db)
+            step(state, s)
+            assert np.array_equal(state.qh, state.q.conj().T)
+        assert state.start == 51
 
 
 @pytest.fixture(scope="module")
