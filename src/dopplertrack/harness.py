@@ -59,6 +59,11 @@ class Scenario:
             raise ConfigError("snr_db must be finite or +inf (noiseless)")
         if not math.isfinite(self.delay_drift_ns_per_s):
             raise ConfigError("delay_drift_ns_per_s must be finite")
+        if not (1 <= self.m_avg <= self.geo.n_tones):
+            raise ConfigError("m_avg must lie in [1, %d], the tone count"
+                              % self.geo.n_tones)
+        if self.n_oscillators < 16:
+            raise ConfigError("n_oscillators must be >= 16")
         self.profile.normalized_delays(self.geo)  # validates CP fit
         # the drift is linear in time, so the last symbol bounds every other
         t_last = (self.n_symbols - 1) * self.geo.symbol_duration

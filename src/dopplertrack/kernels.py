@@ -57,6 +57,8 @@ def sos_gains(amps, omegas, phases_i, phases_q, times, m_avg=1):
     phases_i = np.asarray(phases_i, dtype=np.float64)
     phases_q = np.asarray(phases_q, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
+    if m_avg < 1:
+        raise ValueError("m_avg must be >= 1, got %r" % (m_avg,))
     if times.shape[0] % m_avg:
         raise ValueError("%d instants are not whole runs of %d"
                          % (times.shape[0], m_avg))

@@ -103,6 +103,12 @@ class TrackerState:
                                % (dim, cfg.geo.n_pilots))
         self.dim = dim
         self.cfg = cfg
+        # per-stream constants of every step: the blend weights alpha and
+        # 1 - alpha (complex, so NumPy casts no float per call), MDL's cap
+        # on the effective window and the series' lag phi
+        self.weights = (np.complex128(cfg.alpha), np.complex128(1.0 - cfg.alpha))
+        self.n_eff_cap = int(round(1.0 / (1.0 - cfg.alpha)))
+        self.phi = cfg.beta * (1.0 + cfg.geo.r_cp)
         self.n = 0
         self.last_fd = 0.0
         self.reset()
@@ -128,14 +134,15 @@ class TrackerState:
         self.energy = 0.0
 
 
-def _blend(alpha, old, col, row):
+def _blend(weights, old, col, row):
     """alpha * old + (1 - alpha) * outer(col, row), computed in old's buffer.
 
-    old must be a temporary the caller owns.
+    weights is (alpha, 1 - alpha); old must be a temporary the caller owns.
     """
+    keep, gain = weights
     outer = col[:, None] * row
-    outer *= 1.0 - alpha
-    old *= alpha
+    outer *= gain
+    old *= keep
     old += outer
     return old
 
@@ -164,6 +171,38 @@ def _qr(a):
     return q, r
 
 
+@functools.cache
+def _zeros(size):
+    """A read-only float64 zero vector of the given size."""
+    zeros = np.zeros(size)
+    zeros.flags.writeable = False  # shared by every call
+    return zeros
+
+
+def _all_finite(a):
+    """Whether every entry of the contiguous complex128 ``a`` is finite.
+
+    One BLAS dot of its floats with zeros: 0 x is NaN for an infinite or
+    NaN x and a zero for a finite one. np.vdot checks no floating-point
+    flags, so this never warns.
+    """
+    return math.isfinite(np.vdot(a.view(np.float64), _zeros(2 * a.size)))
+
+
+def _unit_phase(d):
+    """d / |d| for a complex vector d, and 1 where |d| is not positive."""
+    mag = abs(d)
+    if mag.min() > 0.0:  # also False if some magnitude is NaN
+        return d / mag
+    # a plain divide would warn on a zero magnitude
+    return np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
+
+
+def _sq_norm(h):
+    """||h||^2 of a complex vector as a float, without a conjugate copy."""
+    return float(np.vdot(h, h).real)
+
+
 def update_lag0(state, snap):
     """One exponentially weighted QR step for the 0-lag autocorrelation.
 
@@ -176,14 +215,12 @@ def update_lag0(state, snap):
     h = snap.values
     if h.shape[0] != state.dim:
         raise TrackerError("snapshot length %d != %d" % (h.shape[0], state.dim))
-    a_new = _blend(state.cfg.alpha, state.a @ state.c, h, h.conj() @ state.q)
-    if not np.all(np.isfinite(a_new.view(np.float64))):
+    a_new = _blend(state.weights, state.a @ state.c, h, h.conj() @ state.q)
+    if not _all_finite(a_new):
         state.reset()
         return True
     q_new, r_new = _qr(a_new)
-    d = np.diagonal(r_new)
-    mag = np.abs(d)
-    ph = np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
+    ph = _unit_phase(r_new.diagonal())
     q_new *= ph
     r_new *= ph.conj()[:, None]
     state.c = state.qh @ q_new
@@ -214,11 +251,11 @@ def _accumulate(state, snap):
     c0h = c0.conj().T
     qh = state.qh
     y = qh @ h
-    state.energy = alpha * state.energy + (1.0 - alpha) * float(np.real(h.conj() @ h))
-    state.cov0 = _blend(alpha, c0h @ state.cov0 @ c0, y, y.conj())
+    state.energy = alpha * state.energy + (1.0 - alpha) * _sq_norm(h)
+    state.cov0 = _blend(state.weights, c0h @ state.cov0 @ c0, y, y.conj())
     if len(state.buffer) >= cfg.beta:
         y_lag = qh @ state.buffer[-cfg.beta]
-        state.covb = _blend(alpha, c0h @ state.covb @ c0, y, y_lag.conj())
+        state.covb = _blend(state.weights, c0h @ state.covb @ c0, y, y_lag.conj())
     if not math.isfinite(state.energy):
         state.reset()
         return True
@@ -257,8 +294,8 @@ def _mdl_order(eigs, n_eff):
 def _eta_subspace(state, l_hat, sigma_n2, eigs, vecs):
     """Eta from the projected covariance accumulators (see module doc)."""
     proj_b = vecs.conj().T @ state.covb @ vecs
-    num = float(np.sum(np.abs(np.diagonal(proj_b)[:l_hat]) ** 2))
-    den = float(np.sum((eigs[:l_hat] - sigma_n2) ** 2))
+    num = float((abs(proj_b.diagonal()[:l_hat]) ** 2).sum())
+    den = float(((eigs[:l_hat] - sigma_n2) ** 2).sum())
     if den <= 0.0:
         return math.nan  # no signal subspace energy: eta is undefined
     return math.sqrt(num / den)
@@ -300,7 +337,7 @@ def step(state, snap):
         eigs, vecs = _umath_linalg.eigh_lo(herm)
         eigs = eigs[::-1]
         vecs = vecs[:, ::-1]
-        n_eff = min(n + 1 - state.start, int(round(1.0 / (1.0 - cfg.alpha))))
+        n_eff = min(n + 1 - state.start, state.n_eff_cap)
         l_hat = max(_mdl_order(eigs, max(n_eff, cfg.max_rank)), 1)
         sigma_n2 = max((state.energy - float(eigs[:l_hat].sum()))
                        / (state.dim - l_hat), 0.0)
@@ -312,9 +349,8 @@ def step(state, snap):
                                    sigma_n2_hat=sigma_n2, newton_iters=0,
                                    flags=_ETA_CLAMPED)
 
-        phi = cfg.beta * (1.0 + cfg.geo.r_cp)
         try:
-            poly = numerics.poly_coeffs(eta, phi, cfg.series_order)
+            poly = numerics.poly_coeffs(eta, state.phi, cfg.series_order)
             result = numerics.newton_solve(poly)
             fd = numerics.doppler_from_root(result.root, cfg.geo.n_tones,
                                             cfg.geo.t_sample)

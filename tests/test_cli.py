@@ -52,6 +52,15 @@ def test_validate_rank_above_pilot_count(tmp_path):
     assert "max_rank" in res.output
 
 
+def test_validate_m_avg_out_of_range(tmp_path):
+    # rejected when the config is read, not by every trial of a run
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("profile: eva\nm_avg: 0\n")
+    res = invoke("validate", "--config", str(cfg))
+    assert res.exit_code == 1
+    assert "m_avg must lie in [1, 1024]" in res.output
+
+
 def test_module_entry_point(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("profile: nosuch\n")

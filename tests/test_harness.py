@@ -46,10 +46,16 @@ class TestScenario:
                    dict(snr_db=math.nan), dict(snr_db=-math.inf),
                    dict(duration_ms=math.nan), dict(duration_ms=math.inf),
                    dict(delay_drift_ns_per_s=math.nan),
-                   dict(delay_drift_ns_per_s=math.inf)):
+                   dict(delay_drift_ns_per_s=math.inf),
+                   dict(m_avg=0), dict(m_avg=-2), dict(m_avg=1025),
+                   dict(n_oscillators=15)):
             with pytest.raises(ConfigError):
                 small_scenario(**kw)
         small_scenario(snr_db=math.inf)  # noiseless
+        # the ends of the ranges the fading synthesis accepts
+        small_scenario(m_avg=1)
+        small_scenario(m_avg=1024)
+        small_scenario(n_oscillators=16)
 
     def test_shorter_than_one_symbol(self):
         # 0.05 ms holds no 96 us symbol: n_symbols would be 0

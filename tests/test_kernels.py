@@ -96,6 +96,12 @@ def test_partial_run_rejected():
         kernels.sos_gains(*make_inputs(seed=19, n_t=130), 64)
 
 
+@pytest.mark.parametrize("m_avg", [0, -2])
+def test_m_avg_below_one_rejected(m_avg):
+    with pytest.raises(ValueError, match="m_avg must be >= 1"):
+        kernels.sos_gains(*make_inputs(seed=19, n_t=4), m_avg)
+
+
 def test_no_thread_outlives_call(monkeypatch):
     monkeypatch.setattr(kernels, "_threads", 3)
     before = threading.active_count()

@@ -12,7 +12,8 @@ from dopplertrack.channel import ChannelProfile, OfdmGeometry, make_fading, time
 from dopplertrack.frontend import PilotSnapshot, ls_observe
 from dopplertrack.numerics import xi_exact
 from dopplertrack.tracker import (TrackerConfig, TrackerError, TrackerState,
-                                  _mdl_order, _qr, step, update_lag0)
+                                  _all_finite, _eta_subspace, _mdl_order, _qr,
+                                  _sq_norm, _unit_phase, step, update_lag0)
 
 GEO = OfdmGeometry()
 
@@ -141,7 +142,7 @@ class TestUpdateLag0:
 def lag0_numpy_route(state, h):
     """update_lag0's new C, Q, R and A through np.linalg.qr and the two
     np.where calls of its phase fix; state is not changed."""
-    a_new = tracker._blend(state.cfg.alpha, state.a @ state.c, h, h.conj() @ state.q)
+    a_new = tracker._blend(state.weights, state.a @ state.c, h, h.conj() @ state.q)
     q_new, r_new = np.linalg.qr(a_new)
     d = np.diagonal(r_new)
     mag = np.abs(d)
@@ -220,6 +221,122 @@ class TestDirectLapack:
             for got, ref in zip((state.c, state.q, state.r, state.a), want):
                 assert np.array_equal(got, ref)
             assert np.array_equal(state.qh, state.q.conj().T)
+
+
+SPECIALS = [math.inf, -math.inf, math.nan, 1.7e308, -1.7e308]
+
+
+@st.composite
+def complex_with_specials(draw):
+    """Complex tracker-shaped matrices scaled by 2^k, with up to 3 entries
+    (real or imaginary parts) set to +-inf, NaN or +-1.7e308."""
+    dim, rank = draw(st.sampled_from([(128, 10), (128, 10), (32, 8), (16, 16), (128, 1)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    a *= 2.0 ** draw(st.integers(-300, 300))
+    flat = a.view(np.float64).reshape(-1)
+    for value in draw(st.lists(st.sampled_from(SPECIALS), max_size=3)):
+        flat[rng.integers(flat.size)] = value
+    return a
+
+
+@st.composite
+def scaled_vectors(draw):
+    """Complex vectors of length 1-256 scaled by 2^k, k in [-500, 500],
+    with some entries zeroed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 256))
+    h = rng.normal(size=n) + 1j * rng.normal(size=n)
+    h[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))] = 0.0
+    return h * 2.0 ** draw(st.integers(-500, 500))
+
+
+@st.composite
+def r_diagonals(draw):
+    """The diagonal view of a square complex matrix: real (as a QR's R
+    has) or complex entries scaled by 2^k, some zero, -0, NaN or inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 16))
+    d = rng.normal(size=n) + (1j * rng.normal(size=n) if draw(st.booleans()) else 0j)
+    d *= 2.0 ** draw(st.integers(-500, 500))
+    for value in draw(st.lists(st.sampled_from([0.0, -0.0, 0j, math.nan, math.inf]),
+                               max_size=3)):
+        d[rng.integers(n)] = value
+    r = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    np.fill_diagonal(r, d)
+    return r.diagonal()
+
+
+class TestStepRewrites:
+    """The expressions these helpers replaced in step, kept verbatim as
+    their oracles; every comparison is bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(complex_with_specials())
+    def test_all_finite(self, a):
+        assert _all_finite(a) == bool(np.all(np.isfinite(a.view(np.float64))))
+
+    @settings(max_examples=500, deadline=None)
+    @given(scaled_vectors())
+    def test_sq_norm(self, h):
+        with np.errstate(over="ignore"):  # 2^500 squared overflows
+            want = float(np.real(h.conj() @ h))
+        got = _sq_norm(h)
+        assert type(got) is float  # as repr() writes it to the CSV
+        assert got == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(r_diagonals())
+    def test_unit_phase(self, d):
+        with np.errstate(invalid="ignore"):  # a NaN or inf entry
+            mag = np.abs(d)
+            want = np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
+            got = _unit_phase(d)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(128, 10), (10, 10)]),
+           st.sampled_from([0.5, 0.9, 0.995, 0.9999]), st.integers(-300, 300))
+    def test_blend_weights(self, seed, shape, alpha, k):
+        # entries of -0.0, 0.0 and 2^k-scaled values in every operand
+        rng = np.random.default_rng(seed)
+
+        def operand(*size):
+            x = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 2.0 ** k
+            x.view(np.float64).reshape(-1)[rng.random(2 * x.size) < 0.2] = -0.0
+            x.view(np.float64).reshape(-1)[rng.random(2 * x.size) < 0.2] = 0.0
+            return x
+
+        old, col, row = operand(*shape), operand(shape[0]), operand(shape[1])
+        want = old.copy()
+        outer = col[:, None] * row
+        outer *= 1.0 - alpha
+        want *= alpha
+        want += outer
+        state = TrackerState(GEO.n_pilots, TrackerConfig(alpha=alpha, geo=GEO))
+        got = tracker._blend(state.weights, old, col, row)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 10),
+           st.floats(0.0, 2.0), st.integers(-300, 300))
+    def test_eta_subspace(self, seed, l_hat, noise, k):
+        rng = np.random.default_rng(seed)
+        scale = 2.0 ** k
+        covb = (rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))) * scale
+        g = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+        eigs, vecs = np.linalg.eigh(g @ g.conj().T)
+        # the descending views step passes
+        eigs, vecs = (eigs * scale)[::-1], vecs[:, ::-1]
+        sigma_n2 = noise * float(eigs[-1])
+        proj_b = vecs.conj().T @ covb @ vecs
+        num = float(np.sum(np.abs(np.diagonal(proj_b)[:l_hat]) ** 2))
+        den = float(np.sum((eigs[:l_hat] - sigma_n2) ** 2))
+        want = math.sqrt(num / den) if den > 0.0 else math.nan
+        state = TrackerState(GEO.n_pilots, TrackerConfig(geo=GEO))
+        state.covb = covb
+        got = _eta_subspace(state, l_hat, sigma_n2, eigs, vecs)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestStateQh:
