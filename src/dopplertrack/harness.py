@@ -270,24 +270,48 @@ def _as_list(v):
     return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
+def _whole(value):
+    """An integer config value: a whole number, but not a boolean."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError("%r is not a whole number" % (value,))
+    return int(value)
+
+
 # config key -> (dataclass field, conversion); a key the config omits
 # takes the dataclass default
-_GEOMETRY_KEYS = {"tones": ("n_tones", int), "cp_length": ("cp_len", int),
+_GEOMETRY_KEYS = {"tones": ("n_tones", _whole), "cp_length": ("cp_len", _whole),
                  "sample_period_ns": ("t_sample", lambda ns: float(ns) * 1e-9),
-                 "pilots": ("n_pilots", int)}
-_TRACKER_KEYS = {"alpha": ("alpha", float), "lag": ("beta", int),
-                "max_rank": ("max_rank", int), "series_order": ("series_order", int)}
-_SCENARIO_KEYS = {"trials": ("trials", int), "master_seed": ("master_seed", int),
-                 "m_avg": ("m_avg", int),
+                 "pilots": ("n_pilots", _whole)}
+_TRACKER_KEYS = {"alpha": ("alpha", float), "lag": ("beta", _whole),
+                "max_rank": ("max_rank", _whole),
+                "series_order": ("series_order", _whole)}
+_SCENARIO_KEYS = {"trials": ("trials", _whole), "master_seed": ("master_seed", _whole),
+                 "m_avg": ("m_avg", _whole),
                  "delay_drift_ns_per_s": ("delay_drift_ns_per_s", float)}
+# the top-level keys that are not scenario fields
+_GRID_KEYS = ("geometry", "tracker", "profile", "fd_hz", "snr_db", "duration_ms")
 
 
-def _given(section, keys):
-    """Converted keyword arguments for the keys that a config section sets."""
+def _given(section, keys, also=()):
+    """Converted keyword arguments for the keys that a config section sets.
+
+    A key outside keys and also is rejected, so that a misspelt key
+    cannot silently take its default.
+    """
     if not isinstance(section, dict):
         raise TypeError("section must be a mapping, got %r" % (section,))
-    return {name: conv(section[key]) for key, (name, conv) in keys.items()
-            if key in section}
+    for key in section:
+        if key not in keys and key not in also:
+            raise ConfigError("unknown key %r (known: %s)"
+                              % (key, ", ".join(sorted([*keys, *also]))))
+    out = {}
+    for key, (name, conv) in keys.items():
+        if key in section:
+            try:
+                out[name] = conv(section[key])
+            except Exception as exc:
+                raise ConfigError("%s: %s" % (key, exc)) from exc
+    return out
 
 
 def scenarios_from_config(doc, seed_override=None):
@@ -326,7 +350,7 @@ def scenarios_from_config(doc, seed_override=None):
         fds = [float(x) for x in _as_list(doc.get("fd_hz", 400.0))]
         snrs = [float(x) for x in _as_list(doc.get("snr_db", 15.0))]
         durs = [float(x) for x in _as_list(doc.get("duration_ms", 40.0))]
-        given = _given(doc, _SCENARIO_KEYS)
+        given = _given(doc, _SCENARIO_KEYS, _GRID_KEYS)
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad scalar field: %s" % exc) from exc
     for prof in profiles:

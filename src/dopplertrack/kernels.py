@@ -17,7 +17,13 @@ _threads = None
 
 
 def cpu_count():
-    """CPUs available to run_grid's pool and to the kernel's threads."""
+    """CPUs this process may run on: run_grid's pool and the kernel's threads.
+
+    The affinity mask where the platform has one (taskset, cgroup
+    cpusets), else every CPU of the machine.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -80,7 +86,7 @@ def sos_gains(amps, omegas, phases_i, phases_q, times, m_avg=1):
         starts.pop()  # fold a one-instant tail into the previous chunk
     chunks = list(zip(starts, starts[1:] + [n_runs]))
     if len(chunks) == 1:
-        n_threads = 1  # skips cpu_count(), which reads a file on Linux
+        n_threads = 1  # skips the cpu_count() system call
     else:
         n_threads = min(_threads or cpu_count(), len(chunks))
     # one workspace per thread, reused in place: fresh temporaries of this

@@ -171,24 +171,6 @@ def _qr(a):
     return q, r
 
 
-@functools.cache
-def _zeros(size):
-    """A read-only float64 zero vector of the given size."""
-    zeros = np.zeros(size)
-    zeros.flags.writeable = False  # shared by every call
-    return zeros
-
-
-def _all_finite(a):
-    """Whether every entry of the contiguous complex128 ``a`` is finite.
-
-    One BLAS dot of its floats with zeros: 0 x is NaN for an infinite or
-    NaN x and a zero for a finite one. np.vdot checks no floating-point
-    flags, so this never warns.
-    """
-    return math.isfinite(np.vdot(a.view(np.float64), _zeros(2 * a.size)))
-
-
 def _unit_phase(d):
     """d / |d| for a complex vector d, and 1 where |d| is not positive."""
     mag = abs(d)
@@ -209,16 +191,11 @@ def update_lag0(state, snap):
     With Z0 = h h^H (a rank-1 right product):
     A <- alpha A C + (1 - alpha) Z0 Q_prev; QR-factorize; rotate phases
     so diag(R) is real non-negative; C <- Q_prev^H Q_new.
-    Returns True if the new A was not finite; the whole stream state has
-    then been reset (:meth:`TrackerState.reset`).
     """
     h = snap.values
     if h.shape[0] != state.dim:
         raise TrackerError("snapshot length %d != %d" % (h.shape[0], state.dim))
     a_new = _blend(state.weights, state.a @ state.c, h, h.conj() @ state.q)
-    if not _all_finite(a_new):
-        state.reset()
-        return True
     q_new, r_new = _qr(a_new)
     ph = _unit_phase(r_new.diagonal())
     q_new *= ph
@@ -228,7 +205,6 @@ def update_lag0(state, snap):
     state.qh = q_new.conj().T
     state.a = a_new
     state.r = r_new
-    return False
 
 
 def _accumulate(state, snap):
@@ -237,29 +213,18 @@ def _accumulate(state, snap):
     With y = Q0(n)^H h(n) and C0 = Q0(n-1)^H Q0(n):
     G0 <- alpha C0^H G0 C0 + (1-alpha) y y^H, and likewise for the
     beta-lag accumulator with the buffered snapshot; the C0 transport
-    keeps past contributions expressed in the current basis. A scalar
-    exponentially weighted ||h||^2 tracks the total energy for the
-    trace-based noise floor.
-
-    Returns True if that energy overflowed; the whole stream state has
-    then been reset (:meth:`TrackerState.reset`).
+    keeps past contributions expressed in the current basis.
     """
     cfg = state.cfg
-    alpha = cfg.alpha
     h = snap.values
     c0 = state.c
     c0h = c0.conj().T
     qh = state.qh
     y = qh @ h
-    state.energy = alpha * state.energy + (1.0 - alpha) * _sq_norm(h)
     state.cov0 = _blend(state.weights, c0h @ state.cov0 @ c0, y, y.conj())
     if len(state.buffer) >= cfg.beta:
         y_lag = qh @ state.buffer[-cfg.beta]
         state.covb = _blend(state.weights, c0h @ state.covb @ c0, y, y_lag.conj())
-    if not math.isfinite(state.energy):
-        state.reset()
-        return True
-    return False
 
 
 @functools.cache
@@ -306,21 +271,33 @@ def step(state, snap):
 
     Inner numerics failures surface as flags, never as exceptions or
     warnings, so a stream keeps running through transient bad estimates.
-    A snapshot that overflows the tracked statistics resets the stream
-    state without being kept; its estimate and the next WARMUP_SYMBOLS
-    are flagged warmup, and from then on the stream emits what a new
-    stream fed the later snapshots would.
+    A snapshot whose tracked energy would overflow resets the stream
+    state before it touches the statistics; its estimate and the next
+    WARMUP_SYMBOLS are flagged warmup, and from then on the stream emits
+    what a new stream fed the later snapshots would.
     """
-    # an overflow or NaN on the way ends in the documented reset or flag
+    # an overflow or NaN in the estimate (eta's sums on a huge stream)
+    # ends in a flag, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         cfg = state.cfg
         n = state.n
-        # advanced first, so a reset inside these calls sets start = n + 1:
-        # the bad snapshot is not in the restarted statistics
+        h = snap.values
+        # The exponentially weighted ||h||^2, for the trace-based noise
+        # floor. It also bounds the rest of the state: with Q and C of unit
+        # 2-norm, ||A||_F and ||cov0||_F stay below it and covb below the
+        # weighted ||h(n)|| ||h(n - beta)||, so screening it alone keeps
+        # every statistic finite.
+        energy = cfg.alpha * state.energy + (1.0 - cfg.alpha) * _sq_norm(h)
+        # advanced first, so a reset sets start = n + 1: the screened-out
+        # snapshot is not in the restarted statistics
         state.n = n + 1
-        restarted = update_lag0(state, snap) or _accumulate(state, snap)
-        if not restarted:
-            state.buffer.append(snap.values)
+        if math.isfinite(energy):
+            update_lag0(state, snap)
+            _accumulate(state, snap)
+            state.energy = energy
+            state.buffer.append(h)
+        else:
+            state.reset()
 
         # covb gets its first beta-lag product within beta + 1 symbols of
         # start, and beta + 1 <= 5 < WARMUP_SYMBOLS, so the window also

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
 from dopplertrack.cli import main
@@ -59,6 +60,18 @@ def test_validate_m_avg_out_of_range(tmp_path):
     res = invoke("validate", "--config", str(cfg))
     assert res.exit_code == 1
     assert "m_avg must lie in [1, 1024]" in res.output
+
+
+@pytest.mark.parametrize("text, message", [
+    ("m_avg: 2.5\n", "m_avg: 2.5 is not a whole number"),
+    ("tracker: {lags: 3}\n", "unknown key 'lags'")])
+def test_validate_rejects_truncation_and_typos(tmp_path, text, message):
+    # both used to print "ok" and run another grid than the one written
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    res = invoke("validate", "--config", str(cfg))
+    assert res.exit_code == 1
+    assert message in res.output
 
 
 def test_module_entry_point(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import threading
 import warnings
 
@@ -208,7 +209,12 @@ class TestRunGrid:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "run_trial", _trial_without_channel)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if cpus is None:  # no affinity mask and no CPU count: one CPU
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
         _, errors = run_grid([small_scenario(trials=3)], parallelism=4)
         assert started == pools
         assert len(errors) == 3
@@ -218,7 +224,8 @@ class TestRunGrid:
         # the failing trial is a module-level function, so pool workers
         # can unpickle it; two cpus make the two jobs take the pool branch
         monkeypatch.setattr(harness, "run_trial", _trial_without_channel)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         results, errors = run_grid([small_scenario(trials=2)],
                                    parallelism=parallelism)
         assert results == []
@@ -338,6 +345,29 @@ class TestConfig:
     def test_section_must_be_mapping(self, section, value):
         with pytest.raises(ConfigError, match="bad %s section" % section):
             scenarios_from_config({section: value})
+
+    # each of these used to be truncated, or ignored, without a word
+    @pytest.mark.parametrize("doc, message", [
+        ({"m_avg": 2.5}, "m_avg: 2.5 is not a whole number"),
+        ({"trials": 1.9}, "trials: 1.9"), ({"trials": True}, "trials: True"),
+        ({"master_seed": 1.5}, "master_seed: 1.5"), ({"m_avg": "64"}, "m_avg: '64'"),
+        ({"trials": math.inf}, "trials: cannot convert"),
+        ({"tracker": {"lag": 1.7}}, "lag: 1.7"), ({"tracker": {"lag": True}}, "lag: True"),
+        ({"tracker": {"max_rank": 10.9}}, "max_rank: 10.9"),
+        ({"geometry": {"pilots": 64.5}}, "pilots: 64.5"),
+        ({"geometry": {"tones": 1024.5}}, "tones: 1024.5"),
+        ({"geometry": {"cp_length": True}}, "cp_length: True"),
+        ({"m_avgs": 2}, "unknown key 'm_avgs'"), ({"fd": 300.0}, "unknown key 'fd'"),
+        ({"tracker": {"lags": 3}}, "bad tracker section: unknown key 'lags'"),
+        ({"geometry": {"pilot": 64}}, "bad geometry section: unknown key 'pilot'")])
+    def test_rejection_names_key(self, doc, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            scenarios_from_config(doc)
+
+    def test_whole_float_accepted(self):
+        sc = scenarios_from_config({"m_avg": 32.0, "tracker": {"lag": 2.0}})[0]
+        assert sc.m_avg == 32 and type(sc.m_avg) is int
+        assert sc.tracker_cfg.beta == 2 and type(sc.tracker_cfg.beta) is int
 
     def test_presets(self):
         for name in ("eva", "etu", "snr-sweep", "convergence"):

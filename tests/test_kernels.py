@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 
 import numpy as np
@@ -119,3 +120,17 @@ def test_zero_frequencies_constant():
     w = np.zeros_like(w)
     g = kernels.sos_gains(a, w, pi_, pq, t)
     assert np.max(np.abs(g - g[:, :1])) == 0.0
+
+
+def test_cpu_count_follows_affinity(monkeypatch):
+    # under `taskset -c 0` on a 2-CPU machine the process runs on one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert kernels.cpu_count() == 1
+
+
+@pytest.mark.parametrize("cpus, want", [(8, 8), (None, 1)])
+def test_cpu_count_without_affinity(monkeypatch, cpus, want):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert kernels.cpu_count() == want
