@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import sys
@@ -687,3 +688,25 @@ class TestWarningFree:
                 return [dataclasses.astuple(step(state, s)) for s in snaps]
 
         np.testing.assert_equal(run("error"), run("ignore"))
+
+
+class TestTracedStages:
+    """perfbench's Tracer times step's stages by wrapping these module
+    attributes, so step must look each of them up on every call."""
+
+    HOOKS = ((tracker, "update_lag0"), (tracker, "_accumulate"),
+             (numerics, "poly_coeffs"), (numerics, "newton_solve"))
+
+    def test_step_calls_each_hook_per_symbol(self, monkeypatch):
+        counts = collections.Counter()
+        for module, name in self.HOOKS:
+            def counting(*args, _inner=getattr(module, name), _name=name):
+                counts[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(module, name, counting)
+        state = TrackerState(GEO.n_pilots, TrackerConfig(geo=GEO))
+        ests = [step(state, s) for s in three_tap_stream(30, 20.0, seed=5)]
+        # symbols 20-29 leave warmup and each reaches the Newton inversion
+        assert [e.flags.labels() for e in ests[20:]] == [[]] * 10
+        assert counts == {"update_lag0": 30, "_accumulate": 30,
+                          "poly_coeffs": 10, "newton_solve": 10}
