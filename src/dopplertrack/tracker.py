@@ -1,14 +1,16 @@
 """Streaming Doppler spread estimator.
 
-Per OFDM symbol, :func:`step` runs one QR-based low-rank recursion, for
-the 0-lag pilot autocorrelation matrix, and advances two projected
-covariance accumulators in its basis: ``cov0`` (0-lag) and ``covb``
-(beta-lag, see ``_accumulate``). From the eigendecomposition of
-``cov0`` it selects the model order with MDL, estimates the noise floor
-and the correlation ratio eta, and inverts eta into a Doppler estimate
-through the series polynomial. The projected form subtracts the noise
-floor without the bias the raw R diagonal picks up at low SNR, which is
-what makes the low-SNR operating points usable.
+Per OFDM symbol, :func:`step` first updates the stream state: one
+QR-based low-rank recursion for the 0-lag pilot autocorrelation matrix
+and two projected covariance accumulators in its basis, ``cov0``
+(0-lag) and ``covb`` (beta-lag, see ``_accumulate``). It then reads the
+estimate out of those accumulators with ``_read_out``, a pure function
+of them: from the eigendecomposition of ``cov0`` it selects the model
+order with MDL, estimates the noise floor and the correlation ratio
+eta, and inverts eta into a Doppler estimate through the series
+polynomial. The projected form subtracts the noise floor without the
+bias the raw R diagonal picks up at low SNR, which is what makes the
+low-SNR operating points usable.
 """
 
 import functools
@@ -89,11 +91,13 @@ class DopplerEstimate:
 class TrackerState:
     """Mutable per-stream state; single writer, updates in symbol order.
 
-    ``q``, ``a``, ``c`` and ``r`` are the lag-0 QR recursion (see
-    :func:`update_lag0`); ``qh`` is ``q.conj().T``, formed once per
-    symbol when ``q`` is set and read by the next ``c`` and by
-    ``_accumulate``. ``cov0`` and ``covb`` are the projected covariance
-    accumulators in its basis (see ``_accumulate``).
+    ``q``, ``a`` and ``c`` are the lag-0 QR recursion (see
+    :func:`update_lag0`); ``a = q r`` carries the R factor, which is not
+    kept. ``qh`` is ``q.conj().T``, formed once per symbol when ``q`` is
+    set and read by the next ``c`` and by ``_accumulate``. ``cov0`` and
+    ``covb`` are the projected covariance accumulators in its basis (see
+    ``_accumulate``), and ``energy`` the tracked ``||h||^2``; ``step``
+    reads its estimate from these three alone.
     """
 
     def __init__(self, dim, cfg):
@@ -104,11 +108,10 @@ class TrackerState:
         self.dim = dim
         self.cfg = cfg
         # per-stream constants of every step: the blend weights alpha and
-        # 1 - alpha (complex, so NumPy casts no float per call), MDL's cap
-        # on the effective window and the series' lag phi
+        # 1 - alpha (complex, so NumPy casts no float per call) and MDL's
+        # cap on the effective window
         self.weights = (np.complex128(cfg.alpha), np.complex128(1.0 - cfg.alpha))
         self.n_eff_cap = int(round(1.0 / (1.0 - cfg.alpha)))
-        self.phi = cfg.beta * (1.0 + cfg.geo.r_cp)
         self.n = 0
         self.last_fd = 0.0
         self.reset()
@@ -127,7 +130,6 @@ class TrackerState:
         self.qh = self.q.conj().T
         self.a = np.zeros((dim, rank), dtype=np.complex128)
         self.c = np.eye(rank, dtype=np.complex128)
-        self.r = np.zeros((rank, rank), dtype=np.complex128)
         self.buffer = deque(maxlen=self.cfg.beta + 1)
         self.cov0 = np.zeros((rank, rank), dtype=np.complex128)
         self.covb = np.zeros((rank, rank), dtype=np.complex128)
@@ -147,28 +149,16 @@ def _blend(weights, old, col, row):
     return old
 
 
-@functools.cache
-def _strict_lower(rank):
-    """Mask of a rank x rank matrix's strict lower triangle."""
-    mask = np.tri(rank, k=-1, dtype=bool)
-    mask.flags.writeable = False  # shared by every call
-    return mask
-
-
 def _qr(a):
-    """``np.linalg.qr(a)`` of a tall complex128 ``a``, bit for bit.
+    """Q and R's diagonal of ``np.linalg.qr(a)``, a tall complex128 ``a``,
+    bit for bit.
 
     Calls the two LAPACK gufuncs ``np.linalg.qr`` calls, without its
-    per-call wrapping; R is the upper triangle of the factored copy's
-    first rows.
+    per-call wrapping; R's diagonal is that of the factored copy.
     """
-    rank = a.shape[1]
     fac = a.copy()
     tau = _umath_linalg.qr_r_raw(fac)  # factors fac in place
-    q = _umath_linalg.qr_reduced(fac, tau)
-    r = fac[:rank]
-    r[_strict_lower(rank)] = 0.0
-    return q, r
+    return _umath_linalg.qr_reduced(fac, tau), fac.diagonal()
 
 
 def _unit_phase(d):
@@ -189,22 +179,20 @@ def update_lag0(state, snap):
     """One exponentially weighted QR step for the 0-lag autocorrelation.
 
     With Z0 = h h^H (a rank-1 right product):
-    A <- alpha A C + (1 - alpha) Z0 Q_prev; QR-factorize; rotate phases
-    so diag(R) is real non-negative; C <- Q_prev^H Q_new.
+    A <- alpha A C + (1 - alpha) Z0 Q_prev; QR-factorize; rotate Q's
+    column phases so that diag(Q^H A) is real non-negative;
+    C <- Q_prev^H Q_new.
     """
     h = snap.values
     if h.shape[0] != state.dim:
         raise TrackerError("snapshot length %d != %d" % (h.shape[0], state.dim))
     a_new = _blend(state.weights, state.a @ state.c, h, h.conj() @ state.q)
-    q_new, r_new = _qr(a_new)
-    ph = _unit_phase(r_new.diagonal())
-    q_new *= ph
-    r_new *= ph.conj()[:, None]
+    q_new, r_diag = _qr(a_new)
+    q_new *= _unit_phase(r_diag)
     state.c = state.qh @ q_new
     state.q = q_new
     state.qh = q_new.conj().T
     state.a = a_new
-    state.r = r_new
 
 
 def _accumulate(state, snap):
@@ -256,9 +244,9 @@ def _mdl_order(eigs, n_eff):
     return int(np.fmin(val, math.inf).argmin())
 
 
-def _eta_subspace(state, l_hat, sigma_n2, eigs, vecs):
+def _eta_subspace(covb, l_hat, sigma_n2, eigs, vecs):
     """Eta from the projected covariance accumulators (see module doc)."""
-    proj_b = vecs.conj().T @ state.covb @ vecs
+    proj_b = vecs.conj().T @ covb @ vecs
     num = float((abs(proj_b.diagonal()[:l_hat]) ** 2).sum())
     den = float(((eigs[:l_hat] - sigma_n2) ** 2).sum())
     if den <= 0.0:
@@ -266,22 +254,56 @@ def _eta_subspace(state, l_hat, sigma_n2, eigs, vecs):
     return math.sqrt(num / den)
 
 
+def _read_out(cov0, covb, energy, n_eff, cfg, last_fd):
+    """(fd_hat, eta_hat, L_hat, sigma_n2_hat, newton_iters, flags) read
+    from the accumulators, the tracked ||h||^2 and the n_eff symbols they
+    hold; fd_hat is last_fd where eta cannot be inverted. Touches no state.
+    """
+    herm = cov0 + cov0.conj().T
+    herm *= 0.5
+    # the LAPACK gufunc np.linalg.eigh calls, without its wrapping
+    eigs, vecs = _umath_linalg.eigh_lo(herm)
+    eigs = eigs[::-1]
+    vecs = vecs[:, ::-1]
+    l_hat = max(_mdl_order(eigs, max(n_eff, cfg.max_rank)), 1)
+    sigma_n2 = max((energy - float(eigs[:l_hat].sum()))
+                   / (cfg.geo.n_pilots - l_hat), 0.0)
+    eta = _eta_subspace(covb, l_hat, sigma_n2, eigs, vecs)
+    if eta >= 1.0:
+        return 0.0, eta, l_hat, sigma_n2, 0, _ETA_CLAMPED
+    try:
+        poly = numerics.poly_coeffs(eta, cfg.beta * (1.0 + cfg.geo.r_cp),
+                                    cfg.series_order)
+        result = numerics.newton_solve(poly)
+        fd = numerics.doppler_from_root(result.root, cfg.geo.n_tones,
+                                        cfg.geo.t_sample)
+    except numerics.NumericsError:
+        # also the exit of an undefined (NaN) eta, which poly_coeffs rejects
+        return last_fd, eta, l_hat, sigma_n2, 0, _NOT_CONVERGED
+    return (fd, eta, l_hat, sigma_n2, result.iterations,
+            _VALID if result.converged else _NOT_CONVERGED)
+
+
 def step(state, snap):
     """Process one snapshot and emit a per-symbol Doppler estimate.
 
     Inner numerics failures surface as flags, never as exceptions or
     warnings, so a stream keeps running through transient bad estimates.
-    A snapshot whose tracked energy would overflow resets the stream
-    state before it touches the statistics; its estimate and the next
-    WARMUP_SYMBOLS are flagged warmup, and from then on the stream emits
-    what a new stream fed the later snapshots would.
+    A snapshot of the wrong length raises TrackerError and leaves the
+    state as it was. A snapshot whose tracked energy would overflow
+    resets the stream state before it touches the statistics; its
+    estimate and the next WARMUP_SYMBOLS are flagged warmup, and from
+    then on the stream emits what a new stream fed the later snapshots
+    would.
     """
+    h = snap.values
+    if h.shape[0] != state.dim:
+        raise TrackerError("snapshot length %d != %d" % (h.shape[0], state.dim))
     # an overflow or NaN in the estimate (eta's sums on a huge stream)
     # ends in a flag, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         cfg = state.cfg
         n = state.n
-        h = snap.values
         # The exponentially weighted ||h||^2, for the trace-based noise
         # floor. It also bounds the rest of the state: with Q and C of unit
         # 2-norm, ||A||_F and ||cov0||_F stay below it and covb below the
@@ -307,37 +329,8 @@ def step(state, snap):
                                    eta_hat=math.nan, L_hat=0,
                                    sigma_n2_hat=math.nan, newton_iters=0,
                                    flags=_WARMUP)
-
-        herm = state.cov0 + state.cov0.conj().T
-        herm *= 0.5
-        # the LAPACK gufunc np.linalg.eigh calls, without its wrapping
-        eigs, vecs = _umath_linalg.eigh_lo(herm)
-        eigs = eigs[::-1]
-        vecs = vecs[:, ::-1]
         n_eff = min(n + 1 - state.start, state.n_eff_cap)
-        l_hat = max(_mdl_order(eigs, max(n_eff, cfg.max_rank)), 1)
-        sigma_n2 = max((state.energy - float(eigs[:l_hat].sum()))
-                       / (state.dim - l_hat), 0.0)
-        eta = _eta_subspace(state, l_hat, sigma_n2, eigs, vecs)
-
-        if eta >= 1.0:
-            state.last_fd = 0.0
-            return DopplerEstimate(n=n, fd_hat=0.0, eta_hat=eta, L_hat=l_hat,
-                                   sigma_n2_hat=sigma_n2, newton_iters=0,
-                                   flags=_ETA_CLAMPED)
-
-        try:
-            poly = numerics.poly_coeffs(eta, state.phi, cfg.series_order)
-            result = numerics.newton_solve(poly)
-            fd = numerics.doppler_from_root(result.root, cfg.geo.n_tones,
-                                            cfg.geo.t_sample)
-        except numerics.NumericsError:
-            # also the exit of an undefined (NaN) eta, which poly_coeffs rejects
-            return DopplerEstimate(n=n, fd_hat=state.last_fd, eta_hat=eta,
-                                   L_hat=l_hat, sigma_n2_hat=sigma_n2,
-                                   newton_iters=0, flags=_NOT_CONVERGED)
-        state.last_fd = fd
-        return DopplerEstimate(
-            n=n, fd_hat=fd, eta_hat=eta, L_hat=l_hat, sigma_n2_hat=sigma_n2,
-            newton_iters=result.iterations,
-            flags=_VALID if result.converged else _NOT_CONVERGED)
+        est = DopplerEstimate(n, *_read_out(state.cov0, state.covb, state.energy,
+                                            n_eff, cfg, state.last_fd))
+        state.last_fd = est.fd_hat
+        return est

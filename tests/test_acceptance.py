@@ -103,7 +103,7 @@ def test_criterion_4_tracker_batch_equivalence():
         q = state.q
         worst_orth = max(worst_orth, float(np.linalg.norm(q.conj().T @ q - eye)))
     batch = np.linalg.eigvalsh(cov)[::-1][:3]
-    tracked = np.abs(np.diagonal(state.r))[:3]
+    tracked = np.abs(np.diagonal(state.qh @ state.a))[:3]  # |diag(R)|, as A = Q R
     worst_eig = float(np.max(np.abs(tracked - batch) / batch))
     report("criterion 4 (tracker-batch equivalence)",
            worst_eig < 0.05 and worst_orth < 1e-10,

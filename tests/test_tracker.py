@@ -13,9 +13,10 @@ from dopplertrack import numerics, tracker
 from dopplertrack.channel import ChannelProfile, OfdmGeometry, make_fading, time_avg_cfr
 from dopplertrack.frontend import PilotSnapshot, ls_observe
 from dopplertrack.numerics import xi_exact
-from dopplertrack.tracker import (TrackerConfig, TrackerError, TrackerState,
-                                  _eta_subspace, _mdl_order, _qr, _sq_norm,
-                                  _unit_phase, step, update_lag0)
+from dopplertrack.tracker import (DopplerEstimate, TrackerConfig, TrackerError,
+                                  TrackerState, _eta_subspace, _mdl_order, _qr,
+                                  _read_out, _sq_norm, _unit_phase, step,
+                                  update_lag0)
 
 GEO = OfdmGeometry()
 
@@ -100,7 +101,7 @@ class TestUpdateLag0:
         snap = snap_of(h)
         for _ in range(60):
             update_lag0(state, snap)
-        d = np.abs(np.diagonal(state.r))
+        d = np.abs(np.diagonal(state.qh @ state.a))  # |diag(R)|, as A = Q R
         assert d[0] == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-6)
         assert np.all(d[1:] < 1e-8 * d[0])
 
@@ -123,7 +124,7 @@ class TestUpdateLag0:
             update_lag0(state, s)
             cov = cfg.alpha * cov + (1 - cfg.alpha) * np.outer(s.values, s.values.conj())
         batch = np.linalg.eigvalsh(cov)[::-1][:3]
-        tracked = np.abs(np.diagonal(state.r))[:3]
+        tracked = np.abs(np.diagonal(state.qh @ state.a))[:3]
         np.testing.assert_allclose(tracked, batch, rtol=0.05)
 
     def test_orthonormality(self):
@@ -142,7 +143,7 @@ class TestUpdateLag0:
 
 
 def lag0_numpy_route(state, h):
-    """update_lag0's new C, Q, R and A through np.linalg.qr and the two
+    """update_lag0's new C, Q and A through np.linalg.qr and the two
     np.where calls of its phase fix; state is not changed."""
     a_new = tracker._blend(state.weights, state.a @ state.c, h, h.conj() @ state.q)
     q_new, r_new = np.linalg.qr(a_new)
@@ -151,8 +152,7 @@ def lag0_numpy_route(state, h):
     nonzero = mag > 0.0
     ph = np.where(nonzero, d / np.where(nonzero, mag, 1.0), 1.0)
     q_new *= ph
-    r_new *= ph.conj()[:, None]
-    return state.q.conj().T @ q_new, q_new, r_new, a_new
+    return state.q.conj().T @ q_new, q_new, a_new
 
 
 @st.composite
@@ -188,16 +188,16 @@ class TestDirectLapack:
     @settings(max_examples=300, deadline=None)
     @given(tall_complex())
     def test_qr_equals_numpy(self, a):
-        q, r = _qr(a)
+        q, r_diag = _qr(a)
         q_ref, r_ref = np.linalg.qr(a)
-        assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+        assert np.array_equal(q, q_ref) and np.array_equal(r_diag, np.diagonal(r_ref))
 
     def test_qr_of_reset_basis(self):
         state = TrackerState(GEO.n_pilots, TrackerConfig(geo=GEO))
         for a in (state.q, state.a):
-            q, r = _qr(a)
+            q, r_diag = _qr(a)
             q_ref, r_ref = np.linalg.qr(a)
-            assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+            assert np.array_equal(q, q_ref) and np.array_equal(r_diag, np.diagonal(r_ref))
 
     @settings(max_examples=300, deadline=None)
     @given(hermitian_repeated())
@@ -220,7 +220,7 @@ class TestDirectLapack:
             h[:10][zero] = 0.0
             want = lag0_numpy_route(state, h)
             update_lag0(state, snap_of(h))
-            for got, ref in zip((state.c, state.q, state.r, state.a), want):
+            for got, ref in zip((state.c, state.q, state.a), want):
                 assert np.array_equal(got, ref)
             assert np.array_equal(state.qh, state.q.conj().T)
 
@@ -330,9 +330,7 @@ class TestStepRewrites:
         num = float(np.sum(np.abs(np.diagonal(proj_b)[:l_hat]) ** 2))
         den = float(np.sum((eigs[:l_hat] - sigma_n2) ** 2))
         want = math.sqrt(num / den) if den > 0.0 else math.nan
-        state = TrackerState(GEO.n_pilots, TrackerConfig(geo=GEO))
-        state.covb = covb
-        got = _eta_subspace(state, l_hat, sigma_n2, eigs, vecs)
+        got = _eta_subspace(covb, l_hat, sigma_n2, eigs, vecs)
         assert got == want or (math.isnan(got) and math.isnan(want))
 
 
@@ -461,6 +459,30 @@ class TestStep:
         assert est.fd_hat == 0.0
         assert est.n == 0
 
+    @pytest.mark.parametrize("scale", [0.0, 1e200])
+    def test_rejected_snapshot_changes_nothing(self, scale):
+        # a 64-entry snapshot among 128-pilot ones; at 1e200 its energy
+        # would also overflow, which must not turn it into a reset
+        good = list(three_tap_stream(4, 15.0, seed=6))
+        state = TrackerState(GEO.n_pilots, TrackerConfig(geo=GEO))
+        for s in good[:3]:
+            step(state, s)
+        before = {k: v.copy() if isinstance(v, np.ndarray) else v
+                  for k, v in vars(state).items()}
+        buffer = list(state.buffer)
+        with pytest.raises(TrackerError, match="snapshot length 64"):
+            step(state, snap_of(np.full(64, scale), 3))
+        assert vars(state).keys() == before.keys()
+        for k, v in vars(state).items():
+            if isinstance(v, np.ndarray):
+                assert np.array_equal(v, before[k]), k
+            elif k != "buffer":
+                assert v == before[k], k
+        assert len(state.buffer) == len(buffer)
+        assert all(x is y for x, y in zip(state.buffer, buffer))
+        assert (state.n, state.start) == (3, 0)
+        assert step(state, good[3]).n == 3
+
     def test_warmup_duration(self):
         cfg = TrackerConfig(geo=GEO)
         state = TrackerState(GEO.n_pilots, cfg)
@@ -559,6 +581,42 @@ class TestStep:
             assert e.fd_hat == 321.0
 
 
+class TestReadOut:
+    """_read_out alone, on the exact accumulators of three paths of power
+    LAM in white noise of power SIGMA at the default lag 1."""
+
+    LAM = np.array([0.5, 0.3, 0.2])
+    SIGMA = 0.01
+    CFG = TrackerConfig(geo=GEO)
+
+    @pytest.mark.parametrize("fd", [100.0, 400.0, 800.0])
+    def test_exact_accumulators(self, fd):
+        xi = [xi_exact(fd, GEO.n_tones, GEO.t_sample, beta=b, r_cp=GEO.r_cp)
+              for b in (0, 1)]
+        eta = xi[1] / xi[0]
+        rank = self.CFG.max_rank
+        cov0 = np.diag(np.r_[self.LAM, np.zeros(rank - 3)] + self.SIGMA).astype(complex)
+        covb = np.diag(np.r_[eta * self.LAM, np.zeros(rank - 3)]).astype(complex)
+        # the tracked ||h||^2: the signal eigenvalues plus the noise of the
+        # other P - 3 pilots
+        energy = float(self.LAM.sum()) + GEO.n_pilots * self.SIGMA
+        inputs = (cov0.copy(), covb.copy())
+        est = DopplerEstimate(0, *_read_out(cov0, covb, energy, 200, self.CFG, 0.0))
+        assert est.L_hat == 3
+        assert est.sigma_n2_hat == pytest.approx(self.SIGMA, rel=0, abs=1e-12)
+        assert est.eta_hat == pytest.approx(eta, rel=0, abs=1e-12)
+        assert est.flags.labels() == []
+        assert est.fd_hat == pytest.approx(fd, rel=1e-6)
+        assert all(np.array_equal(x, y) for x, y in zip((cov0, covb), inputs))
+
+    def test_zero_accumulators(self):
+        zero = np.zeros((self.CFG.max_rank,) * 2, dtype=complex)
+        est = DopplerEstimate(0, *_read_out(zero, zero, 0.0, 200, self.CFG, 321.0))
+        assert est.flags.labels() == ["not_converged"]
+        assert math.isnan(est.eta_hat)
+        assert est.fd_hat == 321.0
+
+
 @pytest.fixture(scope="module")
 def eva400_snapshots():
     """200 snapshots of EVA 400 Hz at 15 dB (fading seed 1, noise seed 2)."""
@@ -570,8 +628,9 @@ def eva400_snapshots():
 
 
 class TestOverflowRecovery:
-    # on this stream 3e153 overflows only the tracked energy; from ~5e153
-    # up the lag-0 recursion overflows first
+    # each scale overflows symbol 50's ||h||^2, so step's energy screen
+    # resets the stream before the snapshot touches any statistic; the
+    # same single screen covers the smallest scale and the largest
     SCALES = [3e153, 1e155, 1e200, 1e300]
 
     @staticmethod
@@ -627,7 +686,7 @@ class TestEnergyScreen:
     snapshot, or every statistic is finite.
     """
 
-    FIELDS = ("q", "qh", "a", "c", "r", "cov0", "covb")
+    FIELDS = ("q", "qh", "a", "c", "cov0", "covb")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(-300 * 4, 512 * 4),
