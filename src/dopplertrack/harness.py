@@ -53,6 +53,8 @@ class Scenario:
                 % (self.duration_ms, self.geo.symbol_duration * 1e3))
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.master_seed < 0:  # SeedSequence takes no negative entropy
+            raise ConfigError("master_seed must be >= 0")
         if not (math.isfinite(self.f_d) and self.f_d >= 0):
             raise ConfigError("f_d must be finite and non-negative")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
@@ -92,7 +94,12 @@ class Scenario:
 
     @property
     def n_symbols(self):
-        return int(self.duration_ms * 1e-3 / self.geo.symbol_duration)
+        """Whole symbols in duration_ms. A ratio within 1e-9 relative of
+        an integer counts as that integer, so a duration of whole symbols
+        keeps its last one despite rounding (9.6 ms is 100 symbols)."""
+        ratio = self.duration_ms * 1e-3 / self.geo.symbol_duration
+        whole = round(ratio)
+        return whole if math.isclose(ratio, whole, rel_tol=1e-9) else int(ratio)
 
 
 @dataclass(frozen=True)
@@ -283,8 +290,7 @@ _GEOMETRY_KEYS = {"tones": ("n_tones", _whole), "cp_length": ("cp_len", _whole),
                  "sample_period_ns": ("t_sample", lambda ns: float(ns) * 1e-9),
                  "pilots": ("n_pilots", _whole)}
 _TRACKER_KEYS = {"alpha": ("alpha", float), "lag": ("beta", _whole),
-                "max_rank": ("max_rank", _whole),
-                "series_order": ("series_order", _whole)}
+                "max_rank": ("max_rank", _whole)}
 _SCENARIO_KEYS = {"trials": ("trials", _whole), "master_seed": ("master_seed", _whole),
                  "m_avg": ("m_avg", _whole),
                  "delay_drift_ns_per_s": ("delay_drift_ns_per_s", float)}
@@ -320,6 +326,8 @@ def scenarios_from_config(doc, seed_override=None):
     fd_hz, snr_db, duration_ms and profile may be lists; the cartesian
     product over those axes defines the grid. Every key is optional; an
     omitted geometry, tracker or scenario key takes the dataclass default.
+    Scenario ids must be distinct, as each seeds its trials and names its
+    output rows.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
@@ -345,7 +353,7 @@ def scenarios_from_config(doc, seed_override=None):
         except Exception as exc:
             raise ConfigError("bad profile entry %r: %s" % (p, exc)) from exc
 
-    scenarios = []
+    scenarios, ids = [], set()
     try:
         fds = [float(x) for x in _as_list(doc.get("fd_hz", 400.0))]
         snrs = [float(x) for x in _as_list(doc.get("snr_db", 15.0))]
@@ -358,6 +366,11 @@ def scenarios_from_config(doc, seed_override=None):
             for snr in snrs:
                 for dur in durs:
                     sid = "%s_fd%g_snr%g_dur%g" % (prof.name, fd, snr, dur)
+                    if sid in ids:
+                        raise ConfigError(
+                            "scenario id %r occurs twice; an id holds the profile "
+                            "name and 6 significant digits of each axis value" % sid)
+                    ids.add(sid)
                     try:
                         scenarios.append(Scenario(
                             scenario_id=sid, profile=prof, f_d=fd, snr_db=snr,

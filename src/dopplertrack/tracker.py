@@ -28,6 +28,21 @@ from .channel import OfdmGeometry
 # estimates flagged warmup from the start of a stream and from each reset
 WARMUP_SYMBOLS = 20
 
+# terms of the series polynomial that Newton's method inverts
+SERIES_ORDER = 8
+
+# The largest tracked energy E (the exponentially weighted ||h||^2) that
+# step lets into the state; a snapshot that would lift E above it, or
+# make it NaN, resets the stream instead. With Q and C of unit 2-norm,
+# ||A||_F and trace(cov0) stay below E, so every eigenvalue of cov0 does
+# too, and by Cauchy-Schwarz over the weighted sums ||covb||_F stays
+# below the largest screened E. Hence in _eta_subspace num <= ||covb||_F^2
+# <= 2^1000, and with sigma_n2 <= E / (P - L) over P pilots, den <= P E^2:
+# both sums stay below 2^1024 for fewer than 2^23 pilots. cov0 + cov0^H
+# stays below 2^501, and _blend's outer product below 2^500 / (1 - alpha).
+# So no statistic and no read-out sum can overflow.
+ENERGY_MAX = 2.0 ** 500
+
 
 class TrackerError(Exception):
     pass
@@ -38,7 +53,6 @@ class TrackerConfig:
     alpha: float = 0.995
     beta: int = 1
     max_rank: int = 10
-    series_order: int = 8
     geo: OfdmGeometry = field(default_factory=OfdmGeometry)
 
     def __post_init__(self):
@@ -49,8 +63,6 @@ class TrackerConfig:
         if not (1 <= self.max_rank <= self.geo.n_pilots):
             raise TrackerError("max_rank must lie in [1, %d], the pilot count"
                                % self.geo.n_pilots)
-        if self.series_order < 2:
-            raise TrackerError("series_order must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -273,7 +285,7 @@ def _read_out(cov0, covb, energy, n_eff, cfg, last_fd):
         return 0.0, eta, l_hat, sigma_n2, 0, _ETA_CLAMPED
     try:
         poly = numerics.poly_coeffs(eta, cfg.beta * (1.0 + cfg.geo.r_cp),
-                                    cfg.series_order)
+                                    SERIES_ORDER)
         result = numerics.newton_solve(poly)
         fd = numerics.doppler_from_root(result.root, cfg.geo.n_tones,
                                         cfg.geo.t_sample)
@@ -290,8 +302,8 @@ def step(state, snap):
     Inner numerics failures surface as flags, never as exceptions or
     warnings, so a stream keeps running through transient bad estimates.
     A snapshot of the wrong length raises TrackerError and leaves the
-    state as it was. A snapshot whose tracked energy would overflow
-    resets the stream state before it touches the statistics; its
+    state as it was. A snapshot that would lift the tracked energy above
+    ENERGY_MAX resets the stream state before it touches the statistics; its
     estimate and the next WARMUP_SYMBOLS are flagged warmup, and from
     then on the stream emits what a new stream fed the later snapshots
     would.
@@ -299,38 +311,32 @@ def step(state, snap):
     h = snap.values
     if h.shape[0] != state.dim:
         raise TrackerError("snapshot length %d != %d" % (h.shape[0], state.dim))
-    # an overflow or NaN in the estimate (eta's sums on a huge stream)
-    # ends in a flag, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        cfg = state.cfg
-        n = state.n
-        # The exponentially weighted ||h||^2, for the trace-based noise
-        # floor. It also bounds the rest of the state: with Q and C of unit
-        # 2-norm, ||A||_F and ||cov0||_F stay below it and covb below the
-        # weighted ||h(n)|| ||h(n - beta)||, so screening it alone keeps
-        # every statistic finite.
-        energy = cfg.alpha * state.energy + (1.0 - cfg.alpha) * _sq_norm(h)
-        # advanced first, so a reset sets start = n + 1: the screened-out
-        # snapshot is not in the restarted statistics
-        state.n = n + 1
-        if math.isfinite(energy):
-            update_lag0(state, snap)
-            _accumulate(state, snap)
-            state.energy = energy
-            state.buffer.append(h)
-        else:
-            state.reset()
+    cfg = state.cfg
+    n = state.n
+    # the exponentially weighted ||h||^2, for the trace-based noise floor;
+    # bounded by ENERGY_MAX, it bounds every other statistic
+    energy = cfg.alpha * state.energy + (1.0 - cfg.alpha) * _sq_norm(h)
+    # advanced first, so a reset sets start = n + 1: the screened-out
+    # snapshot is not in the restarted statistics
+    state.n = n + 1
+    if energy <= ENERGY_MAX:  # False for NaN too
+        update_lag0(state, snap)
+        _accumulate(state, snap)
+        state.energy = energy
+        state.buffer.append(h)
+    else:
+        state.reset()
 
-        # covb gets its first beta-lag product within beta + 1 symbols of
-        # start, and beta + 1 <= 5 < WARMUP_SYMBOLS, so the window also
-        # covers the buffer fill
-        if n < state.start + WARMUP_SYMBOLS:
-            return DopplerEstimate(n=n, fd_hat=state.last_fd,
-                                   eta_hat=math.nan, L_hat=0,
-                                   sigma_n2_hat=math.nan, newton_iters=0,
-                                   flags=_WARMUP)
-        n_eff = min(n + 1 - state.start, state.n_eff_cap)
-        est = DopplerEstimate(n, *_read_out(state.cov0, state.covb, state.energy,
-                                            n_eff, cfg, state.last_fd))
-        state.last_fd = est.fd_hat
-        return est
+    # covb gets its first beta-lag product within beta + 1 symbols of
+    # start, and beta + 1 <= 5 < WARMUP_SYMBOLS, so the window also
+    # covers the buffer fill
+    if n < state.start + WARMUP_SYMBOLS:
+        return DopplerEstimate(n=n, fd_hat=state.last_fd,
+                               eta_hat=math.nan, L_hat=0,
+                               sigma_n2_hat=math.nan, newton_iters=0,
+                               flags=_WARMUP)
+    n_eff = min(n + 1 - state.start, state.n_eff_cap)
+    est = DopplerEstimate(n, *_read_out(state.cov0, state.covb, state.energy,
+                                        n_eff, cfg, state.last_fd))
+    state.last_fd = est.fd_hat
+    return est

@@ -74,6 +74,33 @@ def test_validate_rejects_truncation_and_typos(tmp_path, text, message):
     assert message in res.output
 
 
+def test_validate_negative_seed(tmp_path):
+    # used to print "ok", after which every trial of a run failed
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("profile: eva\nmaster_seed: -1\n")
+    res = invoke("validate", "--config", str(cfg))
+    assert res.exit_code == 1
+    assert "master_seed must be >= 0" in res.output
+
+
+def test_run_negative_seed_is_config_error(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("profile: eva\nduration_ms: 3\ntrials: 1\n")
+    res = invoke("run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--seed", "-1")
+    assert res.exit_code == 1
+    assert "master_seed must be >= 0" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_duplicate_scenario_ids(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("profile: eva\nfd_hz: [400, 400]\n")
+    res = invoke("validate", "--config", str(cfg))
+    assert res.exit_code == 1
+    assert "'eva_fd400_snr15_dur40' occurs twice" in res.output
+
+
 def test_module_entry_point(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("profile: nosuch\n")

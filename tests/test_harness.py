@@ -36,6 +36,20 @@ class TestScenario:
         assert s.geo.symbol_duration == pytest.approx(96e-6)
         assert s.n_symbols == 416
 
+    @pytest.mark.parametrize("duration_ms, n", [(9.6, 100), (4.8, 50), (40.032, 417),
+                                                (0.096, 1), (3.0, 31), (40.0, 416),
+                                                (100.0, 1041), (120.0, 1250)])
+    def test_whole_symbols_keep_the_last(self, duration_ms, n):
+        # 9.6e-3 / 96e-6 is 99.99999999999999 in floating point; it used to
+        # truncate to 99. A ratio that is not near an integer truncates.
+        assert small_scenario(duration_ms=duration_ms).n_symbols == n
+
+    def test_negative_seed_rejected(self):
+        # SeedSequence would reject it in every trial, after validation
+        with pytest.raises(ConfigError, match="master_seed must be >= 0"):
+            small_scenario(master_seed=-1)
+        assert small_scenario(master_seed=0).master_seed == 0
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             small_scenario(duration_ms=0.0)
@@ -359,9 +373,24 @@ class TestConfig:
         ({"geometry": {"cp_length": True}}, "cp_length: True"),
         ({"m_avgs": 2}, "unknown key 'm_avgs'"), ({"fd": 300.0}, "unknown key 'fd'"),
         ({"tracker": {"lags": 3}}, "bad tracker section: unknown key 'lags'"),
-        ({"geometry": {"pilot": 64}}, "bad geometry section: unknown key 'pilot'")])
+        ({"geometry": {"pilot": 64}}, "bad geometry section: unknown key 'pilot'"),
+        # the series order is no longer a setting
+        ({"tracker": {"series_order": 8}},
+         "bad tracker section: unknown key 'series_order'")])
     def test_rejection_names_key(self, doc, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
+            scenarios_from_config(doc)
+
+    # each expands to scenarios that share an id, and so share seeds and
+    # mix in one summary row
+    @pytest.mark.parametrize("doc, sid", [
+        ({"profile": [{"delays_ns": [0], "powers_db": [0]},
+                      {"delays_ns": [0, 100], "powers_db": [0, -3]}],
+          "fd_hz": [100, 400]}, "custom_fd100_snr15_dur40"),
+        ({"fd_hz": [400, 400]}, "eva_fd400_snr15_dur40"),
+        ({"fd_hz": [400.0001, 400.0002]}, "eva_fd400_snr15_dur40")])
+    def test_duplicate_scenario_ids_rejected(self, doc, sid):
+        with pytest.raises(ConfigError, match=re.escape("%r occurs twice" % sid)):
             scenarios_from_config(doc)
 
     def test_whole_float_accepted(self):

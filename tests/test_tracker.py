@@ -72,15 +72,19 @@ class TestConfig:
         assert cfg.alpha == 0.995
         assert cfg.beta == 1
         assert cfg.max_rank == 10
-        assert cfg.series_order == 8
+        assert tracker.SERIES_ORDER == 8
 
     @pytest.mark.parametrize("kw", [dict(alpha=0.0), dict(alpha=1.0),
                                     dict(beta=0), dict(beta=5),
-                                    dict(max_rank=0), dict(max_rank=129),
-                                    dict(series_order=1)])
+                                    dict(max_rank=0), dict(max_rank=129)])
     def test_validation(self, kw):
         with pytest.raises(TrackerError):
             TrackerConfig(**kw)
+
+    def test_series_order_is_no_field(self):
+        # the inversion always uses SERIES_ORDER terms
+        with pytest.raises(TypeError, match="series_order"):
+            TrackerConfig(series_order=8)
 
     # one length below the default max_rank, one above it; neither is the
     # default geometry's 128 pilots
@@ -424,10 +428,11 @@ class TestMdlClosedForm:
         [math.inf, 1.0, 1.0],
         [math.inf, math.inf],
     ])
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nonfinite_like_loop(self, eigs):
-        # a NaN score is never chosen; with no finite score the order is 0
-        assert _mdl_order(np.array(eigs), 50) == mdl_loop_oracle(np.array(eigs), 50)
+        # a NaN score is never chosen; with no finite score the order is 0.
+        # The inf cases form inf - inf on purpose.
+        with np.errstate(invalid="ignore"):
+            assert _mdl_order(np.array(eigs), 50) == mdl_loop_oracle(np.array(eigs), 50)
 
 
 def eva400_fd_track(nudge_at):
@@ -628,10 +633,11 @@ def eva400_snapshots():
 
 
 class TestOverflowRecovery:
-    # each scale overflows symbol 50's ||h||^2, so step's energy screen
-    # resets the stream before the snapshot touches any statistic; the
-    # same single screen covers the smallest scale and the largest
-    SCALES = [3e153, 1e155, 1e200, 1e300]
+    # each scale lifts the tracked energy at symbol 50 above
+    # tracker.ENERGY_MAX, so step's energy screen resets the stream before
+    # the snapshot touches any statistic; the same single screen covers
+    # the smallest scale, which overflows nothing, and the largest
+    SCALES = [1e78, 3e153, 1e155, 1e200, 1e300]
 
     @staticmethod
     def run(snaps, bad=1.0):
@@ -679,24 +685,34 @@ class TestOverflowRecovery:
 class TestEnergyScreen:
     """step screens each snapshot by the tracked energy it would give.
 
-    That one screen guards the whole state: with Q and C of unit 2-norm,
-    ||A||_F and ||cov0||_F stay below the energy and covb below the
-    weighted ||h(n)|| ||h(n - beta)||. So after every step either the
-    screened energy was not finite and the stream was reset without the
-    snapshot, or every statistic is finite.
+    That one screen guards the whole state and the read-out: below
+    tracker.ENERGY_MAX the energy bounds every statistic and every sum
+    the read-out forms (see the constant's comment). So after every step
+    either the screened energy exceeded ENERGY_MAX, or was NaN, and the
+    stream was reset without the snapshot, or every statistic is finite;
+    and no step raises under the suite's np.errstate.
     """
 
     FIELDS = ("q", "qh", "a", "c", "cov0", "covb")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(-300 * 4, 512 * 4),
-           st.none() | st.tuples(st.integers(0, 199), st.integers(100, 308)))
-    @example(quarter=508 * 4 + 2, spike=None)  # resets on most symbols
-    @example(quarter=0, spike=(50, 154))  # one snapshot whose energy overflows
-    def test_reset_or_finite(self, eva400_snapshots, quarter, spike):
+           st.none() | st.tuples(st.integers(0, 199), st.integers(10, 308)),
+           st.sampled_from([0.9, 0.995, 0.999]), st.integers(1, 4),
+           st.sampled_from([10, 128]))
+    # resets on most symbols
+    @example(quarter=508 * 4 + 2, spike=None, alpha=0.995, beta=1, rank=10)
+    # near the bound: 128 pilots of rank 128 are the worst case for den
+    @example(quarter=248 * 4, spike=None, alpha=0.999, beta=4, rank=128)
+    # one snapshot whose energy overflows, and one whose energy passes the
+    # bound without overflowing
+    @example(quarter=0, spike=(50, 154), alpha=0.995, beta=1, rank=10)
+    @example(quarter=0, spike=(50, 78), alpha=0.995, beta=1, rank=10)
+    def test_reset_or_finite(self, eva400_snapshots, quarter, spike, alpha, beta,
+                             rank):
         # the stream scaled by 2^(quarter / 4), and optionally one symbol by
         # a further 10^j, capped so that the snapshot stays finite
-        cfg = TrackerConfig(geo=GEO)
+        cfg = TrackerConfig(alpha=alpha, beta=beta, max_rank=rank, geo=GEO)
         state, fresh = TrackerState(GEO.n_pilots, cfg), TrackerState(GEO.n_pilots, cfg)
         for s in eva400_snapshots:
             h = s.values * 2.0 ** (quarter / 4)
@@ -707,7 +723,7 @@ class TestEnergyScreen:
                 energy = (cfg.alpha * state.energy
                           + (1.0 - cfg.alpha) * float(np.real(h.conj() @ h)))
             step(state, PilotSnapshot(n=s.n, values=h, snr_db=s.snr_db))
-            if math.isfinite(energy):
+            if energy <= tracker.ENERGY_MAX:
                 assert state.energy == energy
                 for f in self.FIELDS:
                     assert np.isfinite(getattr(state, f)).all(), (s.n, f)
@@ -729,10 +745,13 @@ def eva400_seed2_snapshots():
 
 class TestWarningFree:
     # (scale, symbol scaled or None for all): the first three made NumPy
-    # warn from the blend in update_lag0 or from _eta_subspace
+    # warn from the blend in update_lag0 or from _eta_subspace while step
+    # suppressed floating-point faults; 2^248 resets near ENERGY_MAX, and
+    # 1e78 lifts one snapshot's energy above it without overflowing
     CASES = {"1e200-at-50": (1e200, 50), "1e153-at-50": (1e153, 50),
              "2^300-all": (2.0 ** 300, None), "clean": (1.0, None),
-             "2^-30-all": (2.0 ** -30, None)}
+             "2^-30-all": (2.0 ** -30, None), "2^248-all": (2.0 ** 248, None),
+             "1e78-at-50": (1e78, 50)}
 
     @pytest.mark.parametrize("case", CASES)
     def test_step_never_warns(self, eva400_seed2_snapshots, case):
@@ -740,13 +759,14 @@ class TestWarningFree:
         snaps = [PilotSnapshot(n=s.n, values=s.values * scale, snr_db=s.snr_db)
                  if at in (None, s.n) else s for s in eva400_seed2_snapshots]
 
-        def run(action):
+        def run(fault, action):
             state = TrackerState(GEO.n_pilots, TrackerConfig(geo=GEO))
-            with warnings.catch_warnings():
+            with np.errstate(over=fault, invalid=fault, divide=fault), \
+                    warnings.catch_warnings():
                 warnings.simplefilter(action)
                 return [dataclasses.astuple(step(state, s)) for s in snaps]
 
-        np.testing.assert_equal(run("error"), run("ignore"))
+        np.testing.assert_equal(run("raise", "error"), run("ignore", "ignore"))
 
 
 class TestTracedStages:
